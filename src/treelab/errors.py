@@ -10,7 +10,8 @@ class ValidationError(TreelabError, ValueError):
 
 
 class ResourceCapError(TreelabError, RuntimeError):
-    """A size guardrail was hit (vertex budget, convolution cap).  CLI exit code 3."""
+    """A size guardrail was hit (vertex budget, convolution cap, walk step
+    cap).  CLI exit code 3."""
 
 
 class UnsupportedCaseError(TreelabError, ValueError):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedCaseError, ValidationError
-from .ratecalc import Distribution, m_inverse, m_is_trivial, rate_m
+from .errors import ValidationError
+from .ratecalc import Distribution, m_inverse, rate_m
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage
 from .branching import branching_number
 from . import rng
@@ -167,17 +167,12 @@ def fpp_report(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     """Replicated profiles with the transit-rate and exponent predictions.
 
     Replicate i uses the derived seed (seed, i), so reports are reproducible
-    and worker-independent.  The degenerate combination of branching number 1
-    with a trivial lower-tail rate is rejected: the transit rate is not
-    determined by (m, br) there.
+    and worker-independent.
     """
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
     br, br_exact = _branching_for(spec, depth, vertex_cap=vertex_cap)
-    if br <= 1.0 + 1e-12 and m_is_trivial(law):
-        raise UnsupportedCaseError(
-            "branching number 1 with trivial lower-tail rate is out of scope")
     predicted_rate = m_inverse(law, min(1.0, 1.0 / br))
     y = np.asarray(list(y_grid), dtype=np.float64)
     with np.errstate(divide="ignore"):

@@ -65,9 +65,14 @@ def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     return Environment(tree=tree, law=law, seed=seed, log_a=log_a, log_c=log_c)
 
 
-def conductances(env: Environment) -> np.ndarray:
-    """Linear-space C_v with log values clamped to +-700 before exp."""
-    return np.exp(np.clip(env.log_c, -_LOG_CLAMP, _LOG_CLAMP))
+def conductances(env: Environment, ids=None) -> np.ndarray:
+    """Linear-space C_v with log values clamped to +-700 before exp.
+
+    `ids` (an index array or slice) restricts the result to those vertices;
+    each value is the same as in the whole-tree array.
+    """
+    log_c = env.log_c if ids is None else env.log_c[ids]
+    return np.exp(np.clip(log_c, -_LOG_CLAMP, _LOG_CLAMP))
 
 
 def level_conductance_sums(env: Environment) -> np.ndarray:

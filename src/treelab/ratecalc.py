@@ -374,17 +374,6 @@ def rate_m(law: Distribution, y: float) -> float:
     return min(1.0, math.exp(val))
 
 
-def m_is_trivial(law: Distribution) -> bool:
-    """Whether the lower-tail rate is identically one.
-
-    For finitely supported laws the rate is 0 strictly below the essential
-    infimum, so it can never be identically 1; kept as an explicit guard for
-    the excluded case of the transit-rate formula.
-    """
-    law.require_x_type()
-    return False
-
-
 def m_inverse(law: Distribution, z: float) -> float:
     """Generalized inverse sup{y : m(y) < z} of the lower-tail rate, z in (0, 1].
 
@@ -395,8 +384,6 @@ def m_inverse(law: Distribution, z: float) -> float:
     law.require_x_type()
     if not (0.0 < z <= 1.0):
         raise ValidationError("z must lie in (0, 1]")
-    if z == 1.0 and m_is_trivial(law):
-        raise UnsupportedCaseError("m identically 1 has no inverse at z = 1")
     lo = law.ess_inf - 1.0   # m == 0 here, strictly below z
     hi = law.mean            # m == 1 here, >= z
     while hi - lo > 1e-9:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .ratecalc import Distribution, fractional_moment, p_value
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
 from .branching import branching_number, log_cutset_min
@@ -29,6 +29,9 @@ _TAG_ESCAPE = 0xE5CA
 _TAG_GW_COUNT = 0x6C01
 _TAG_GW_RATIO = 0x6C02
 _TAG_GW_PICK = 0x6C03
+
+# Steps one escape walk may take before it counts as unresolved.
+_STEP_CAP = 100_000_000
 
 REGIMES = ("Transient", "Recurrent", "PositiveRecurrent", "Boundary", "Inconclusive")
 
@@ -311,20 +314,20 @@ def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndar
     """Neighbor ids and transition probabilities at a vertex.
 
     Probabilities are proportional to the conductances of the incident edges:
-    the edge above the vertex and the edges to its children.
+    the edge above the vertex (C of the vertex itself) and the edges to its
+    children (C of each child).  Only those entries are computed.
     """
     tree = env.tree
     if not 0 <= vertex < tree.n_vertices:
         raise ValidationError("vertex out of range")
-    c = conductances(env)
     kids = tree.children_slice(vertex)
     kid_ids = np.arange(kids.start, kids.stop, dtype=np.int64)
     if vertex == 0:
-        ids = kid_ids
-        weights = c[kid_ids]
+        ids = edges = kid_ids
     else:
         ids = np.concatenate(([tree.parent[vertex]], kid_ids))
-        weights = np.concatenate(([c[vertex]], c[kid_ids]))
+        edges = np.concatenate(([vertex], kid_ids))
+    weights = conductances(env, edges)
     total = weights.sum()
     if total <= 0.0:
         raise ValidationError(f"vertex {vertex} has no incident conductance")
@@ -432,8 +435,7 @@ def escape_probability_exact(env: Environment, depth: int) -> float:
     if not 1 <= depth <= tree.truncation_depth:
         raise ValidationError("depth must be in 1..truncation_depth")
     g = effective_conductance(tree, env, ground_depth=depth)
-    c = conductances(env)
-    root_total = float(c[tree.level_slice(1)].sum())
+    root_total = float(conductances(env, tree.level_slice(1)).sum())
     return g / root_total
 
 
@@ -443,6 +445,7 @@ def escape_probability(env: Environment, depth: int, trials: int,
 
     Trial i uses the derived seed (seed, i); the exact network value rides
     along for cross-checking.
+    A walk still unresolved after `_STEP_CAP` steps raises ResourceCapError.
     """
     tree = env.tree
     if not 1 <= depth <= tree.truncation_depth:
@@ -450,12 +453,11 @@ def escape_probability(env: Environment, depth: int, trials: int,
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     kernel = _KernelCache(env)
-    step_cap = 100_000_000
     successes = 0
     for t in range(trials):
         gen = rng.generator(env.seed, _TAG_ESCAPE, seed, t)
         v = 0
-        for _ in range(step_cap):
+        for _ in range(_STEP_CAP):
             v = _step(kernel.row(v), gen.random())
             if tree.depth[v] >= depth:
                 successes += 1
@@ -463,7 +465,9 @@ def escape_probability(env: Environment, depth: int, trials: int,
             if v == 0:
                 break
         else:
-            raise RuntimeError("walk exceeded the step cap without resolving")
+            raise ResourceCapError(
+                f"escape walk {t} took {_STEP_CAP} steps without reaching depth "
+                f"{depth} or returning to the root")
     p_hat = successes / trials
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / trials) / trials)
     return EscapeEstimate(probability=p_hat, stderr=stderr, successes=successes,

@@ -174,11 +174,17 @@ class TreeSpec:
             kind = doc["kind"]
         except (KeyError, TypeError):
             raise ValidationError("tree document has no 'kind' field")
+
+        def required(name: str):
+            if name not in doc:
+                raise ValidationError(f"{kind} tree document has no {name!r} field")
+            return doc[name]
+
         if kind == "homogeneous":
-            return cls.homogeneous(doc["b"])
+            return cls.homogeneous(required("b"))
         if kind == "galton_watson":
-            return cls.galton_watson(Distribution.from_json(doc["offspring"]),
-                                     doc["seed"],
+            return cls.galton_watson(Distribution.from_json(required("offspring")),
+                                     required("seed"),
                                      bool(doc.get("condition_nonextinct", False)))
         if kind == "spine_with_leaves":
             rule = doc.get("leaf_rule", "pow2_minus_one")
@@ -188,7 +194,7 @@ class TreeSpec:
                 rule = int(rule)
             return cls.spine_with_leaves(rule)
         if kind == "explicit":
-            return cls.explicit(doc["parents"], doc.get("extendable"))
+            return cls.explicit(required("parents"), doc.get("extendable"))
         raise ValidationError(f"unknown tree kind {kind!r}")
 
     @classmethod
@@ -254,6 +260,23 @@ class Tree:
         hi = int(np.searchsorted(seg, v, side="right")) + sl.start
         return slice(lo, hi)
 
+    @cached_property
+    def _lineage(self) -> np.ndarray:
+        """The `extendable_lineage` mask, by one leaf-to-root sweep."""
+        alive = self.extendable.copy()
+        for k in range(self.truncation_depth, 0, -1):
+            sl = self.level_slice(k)
+            if sl.start == sl.stop:
+                continue
+            off = self.level_offsets[k - 1]
+            counts = np.bincount(self.parent[sl] - off,
+                                 weights=alive[sl].astype(np.float64),
+                                 minlength=int(self.level_offsets[k] - off))
+            prev = self.level_slice(k - 1)
+            alive[prev] |= counts > 0
+        alive.setflags(write=False)
+        return alive
+
     def _freeze(self) -> "Tree":
         for arr in (self.parent, self.depth, self.extendable):
             arr.setflags(write=False)
@@ -269,19 +292,11 @@ def level_sizes(tree: Tree) -> np.ndarray:
 
 def extendable_lineage(tree: Tree) -> np.ndarray:
     """Mask of vertices having an extendable frontier vertex in their subtree
-    (the vertex itself included)."""
-    alive = tree.extendable.copy()
-    for k in range(tree.truncation_depth, 0, -1):
-        sl = tree.level_slice(k)
-        if sl.start == sl.stop:
-            continue
-        off = tree.level_offsets[k - 1]
-        counts = np.bincount(tree.parent[sl] - off,
-                             weights=alive[sl].astype(np.float64),
-                             minlength=int(tree.level_offsets[k] - off))
-        prev = tree.level_slice(k - 1)
-        alive[prev] |= counts > 0
-    return alive
+    (the vertex itself included).
+
+    Computed once per tree and shared by every caller, so it is read-only.
+    """
+    return tree._lineage
 
 
 def validate_tree(tree: Tree) -> None:

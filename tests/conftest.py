@@ -43,6 +43,14 @@ def random_explicit_spec(rng: random.Random, n_vertices: int) -> TreeSpec:
     return TreeSpec.explicit(parents)
 
 
+def table_depth(parents) -> int:
+    """Depth of the tree a parent table describes (vertex i+1 has parent parents[i])."""
+    depth = [0]
+    for par in parents:
+        depth.append(depth[par] + 1)
+    return max(depth)
+
+
 @pytest.fixture
 def seeded_rng():
     return random.Random(20240817)

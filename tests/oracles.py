@@ -96,6 +96,18 @@ def two_point_sum_tail(v0: float, v1: float, p1: float, n: int, a: float) -> flo
 # Exhaustive cutsets on tiny trees
 # ---------------------------------------------------------------------------
 
+def lineage_by_ancestors(tree) -> list[bool]:
+    """Per vertex: whether an extendable vertex lies in its subtree, found by
+    climbing from every extendable vertex to the root (no level structure)."""
+    alive = [False] * len(tree.parent)
+    for v in np.nonzero(tree.extendable)[0]:
+        u = int(v)
+        while u >= 0 and not alive[u]:
+            alive[u] = True
+            u = int(tree.parent[u])
+    return alive
+
+
 def _cutset_family(tree, v: int, alive) -> list[list[int]]:
     """All minimal antichains in v's subtree separating v's root path from the
     extendable frontier (each returned cutset may include v itself)."""

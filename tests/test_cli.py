@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treelab import cli, rwre
 from treelab.cli import main
 
 HOM2_DOC = {"schema": 1, "kind": "homogeneous", "b": 2}
@@ -91,6 +92,28 @@ class TestExitCodes:
     def test_unsupported_case_exit(self, files):
         assert main(["conductance", "--tree", files["hom2"], "--dist",
                      files["zero_law"], "--depth", "6"]) == 4
+
+    def test_walk_step_cap_exit(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(rwre, "_STEP_CAP", 1)
+        assert main(["walk", "--tree", files["hom2"], "--dist", files["a_law"],
+                     "--depth", "6", "--escape-depth", "3",
+                     "--trials", "10"]) == 3
+        assert "resource cap:" in capsys.readouterr().err
+
+    def test_missing_tree_field_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "no_b.json"
+        spec.write_text(json.dumps({"kind": "homogeneous"}))
+        assert main(["tree", "--tree", str(spec), "--depth", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'b'" in err
+
+    def test_library_key_error_is_not_a_config_error(self, files, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "build_truncation", broken)
+        with pytest.raises(KeyError):
+            main(["tree", "--tree", files["hom2"], "--depth", "3"])
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from treelab.errors import UnsupportedCaseError, ValidationError
+from treelab.errors import ResourceCapError, UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution, p_value
 from treelab.trees import TreeSpec, build_truncation
-from treelab.networks import Environment, conductances, max_flow, sample_environment
+from treelab.networks import (Environment, conductances, effective_conductance,
+                              max_flow, sample_environment)
 from treelab.rwre import (CRITERION_BOUNDARY, CRITERION_CUTSET, CRITERION_FAMILY,
                           CRITERION_SUM, CRITERION_TRANSIENT,
-                          classify, escape_probability, gw_flow_iterate,
-                          simulate_walk, transition_probs)
-from treelab import rng
+                          classify, escape_probability, escape_probability_exact,
+                          gw_flow_iterate, simulate_walk, transition_probs)
+from treelab import rng, rwre
+
+from conftest import table_depth
 
 HOM2 = TreeSpec.homogeneous(2)
 SPINE = TreeSpec.spine_with_leaves()
@@ -166,6 +170,79 @@ class TestTransitionProbs:
         assert probs[1] == pytest.approx(probs[2])
 
 
+# log C values on both sides of the +-700 clamp, including its edges
+_LOG_C = st.one_of(st.floats(-1000.0, 1000.0),
+                   st.sampled_from([-800.0, -745.2, -700.0, 0.0, 700.0, 709.9, 800.0]))
+
+
+@st.composite
+def _explicit_env(draw):
+    n = draw(st.integers(2, 14))
+    parents = [draw(st.integers(0, i)) for i in range(n - 1)]
+    tree = build_truncation(TreeSpec.explicit(parents), table_depth(parents))
+    log_c = np.array(draw(st.lists(_LOG_C, min_size=n, max_size=n)))
+    log_c[0] = 0.0
+    return Environment(tree=tree, law=Distribution.point(1.0), seed=0,
+                       log_a=np.zeros(n), log_c=log_c)
+
+
+def _row_from_whole_tree(env, v):
+    """The kernel row read off the conductances of every vertex."""
+    tree = env.tree
+    c = conductances(env)
+    kids = tree.children_slice(v)
+    kid_ids = np.arange(kids.start, kids.stop, dtype=np.int64)
+    if v == 0:
+        ids, weights = kid_ids, c[kid_ids]
+    else:
+        ids = np.concatenate(([tree.parent[v]], kid_ids))
+        weights = np.concatenate(([c[v]], c[kid_ids]))
+    return ids, weights / weights.sum()
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLocalKernel:
+    """Rows and the escape identity read only the entries they need; the
+    values must be bit-identical to reading them off the whole tree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_explicit_env())
+    def test_rows_match_whole_tree_bitwise(self, env):
+        for v in range(env.n_vertices):
+            ids, probs = transition_probs(env, v)
+            ref_ids, ref_probs = _row_from_whole_tree(env, v)
+            assert ids.tolist() == ref_ids.tolist()
+            assert probs.tobytes() == ref_probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_explicit_env())
+    def test_escape_exact_matches_whole_tree_bitwise(self, env):
+        tree = env.tree
+        c = conductances(env)
+        for depth in range(1, tree.truncation_depth + 1):
+            g = effective_conductance(tree, env, ground_depth=depth)
+            ref = g / float(c[tree.level_slice(1)].sum())
+            assert _bits(escape_probability_exact(env, depth)) == _bits(ref)
+
+    @pytest.mark.parametrize("b,law", [
+        (2, Distribution.uniform([0.5, 0.75])),
+        (40, Distribution.uniform([1e-3, 1.0, 1e3])),
+        (3, Distribution.uniform([1e-200, 1e200])),
+    ])
+    def test_escape_exact_unchanged_on_sampled_environments(self, b, law):
+        tree = build_truncation(TreeSpec.homogeneous(b), 3)
+        for seed in range(5):
+            env = sample_environment(tree, law, seed)
+            c = conductances(env)
+            for depth in (1, 2, 3):
+                g = effective_conductance(tree, env, ground_depth=depth)
+                ref = g / float(c[tree.level_slice(1)].sum())
+                assert _bits(escape_probability_exact(env, depth)) == _bits(ref)
+
+
 class TestWalks:
     def test_deterministic(self):
         t = build_truncation(HOM2, 8)
@@ -241,6 +318,15 @@ class TestEscape:
         env = sample_environment(t, Distribution.point(1.0), 0)
         est = escape_probability(env, 10, 3000, 1)
         assert abs(est.probability - est.exact) <= 3 * est.stderr
+
+    def test_step_cap_is_a_resource_cap(self, monkeypatch):
+        t = build_truncation(HOM2, 5)
+        env = sample_environment(t, Distribution.point(1.0), 0)
+        monkeypatch.setattr(rwre, "_STEP_CAP", 1)
+        with pytest.raises(ResourceCapError, match="1 steps"):
+            escape_probability(env, 3, 10, 0)
+        # depth 1 resolves on the first step, so the same cap suffices
+        assert escape_probability(env, 1, 10, 0).probability == 1.0
 
 
 # ---------------------------------------------------------------------------

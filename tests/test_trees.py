@@ -10,7 +10,8 @@ from treelab.trees import (TreeSpec, build_truncation, contract_k,
                            level_sizes, load_parent_list, truncate,
                            validate_tree)
 
-from conftest import random_explicit_spec
+from conftest import random_explicit_spec, table_depth
+import oracles
 
 HOM2 = TreeSpec.homogeneous(2)
 SPINE = TreeSpec.spine_with_leaves()
@@ -240,6 +241,46 @@ class TestCutsetHelpers:
         assert alive.sum() == 4
 
 
+class TestLineageCache:
+    def test_same_read_only_array(self):
+        t = build_truncation(HOM2, 6)
+        first = extendable_lineage(t)
+        assert extendable_lineage(t) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = False
+        assert first.all()
+
+    def test_matches_ancestor_climb(self, seeded_rng):
+        gw = TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0]), seed=3)
+        bases = [build_truncation(HOM2, 6), build_truncation(SPINE, 6),
+                 build_truncation(gw, 6),
+                 build_truncation(TreeSpec.explicit([0, 0, 1], extendable=[]), 2)]
+        for _ in range(20):
+            spec = random_explicit_spec(seeded_rng, seeded_rng.randint(2, 30))
+            depth = seeded_rng.randint(1, table_depth(spec.parents))
+            bases.append(build_truncation(spec, depth))
+        trees = []
+        for t in bases:
+            trees.append(t)
+            trees.extend(truncate(t, d) for d in range(t.truncation_depth))
+            trees.extend(contract_k(t, k) for k in range(1, t.truncation_depth + 1)
+                         if t.truncation_depth % k == 0)
+        assert any(not extendable_lineage(t).all() for t in trees)
+        for t in trees:
+            cached = extendable_lineage(t)
+            assert cached.tolist() == oracles.lineage_by_ancestors(t)
+            assert extendable_lineage(t) is cached
+
+    def test_truncate_gets_its_own_mask(self):
+        # a dead end at depth 2 is alive in the depth-1 window (its parent
+        # keeps children there) but not in the depth-2 window
+        t = build_truncation(TreeSpec.explicit([0, 0, 1], extendable=[]), 2)
+        assert not extendable_lineage(t).any()
+        t1 = truncate(t, 1)
+        assert extendable_lineage(t1).tolist() == [True, True, False]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("spec", [
         HOM2,
@@ -267,3 +308,14 @@ class TestSerialization:
             TreeSpec.from_json({"kind": "mystery"})
         with pytest.raises(ValidationError):
             TreeSpec.from_json({})
+
+    @pytest.mark.parametrize("doc,missing", [
+        ({"kind": "homogeneous"}, "b"),
+        ({"kind": "galton_watson", "seed": 1}, "offspring"),
+        ({"kind": "galton_watson",
+          "offspring": {"support": [2], "weights": [1.0]}}, "seed"),
+        ({"kind": "explicit"}, "parents"),
+    ])
+    def test_missing_field_named(self, doc, missing):
+        with pytest.raises(ValidationError, match=f"'{missing}'"):
+            TreeSpec.from_json(doc)
