@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ResourceCapError, UnsupportedCaseError, ValidationError
+from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
+                     parse)
 from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
 from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
@@ -25,10 +26,9 @@ from .branching import branching_number, cutset_min, growth_rate
 from .networks import (capacity_flow, effective_conductance, sample_environment,
                        weighted_cut_inf)
 from .rwre import classify, escape_probability, simulate_walk
-from .fpp import fpp_report
+from .fpp import fpp_setup, sample_passage_times
 from .percolation import (proof_percolation_fpp, proof_percolation_rwre,
                           survival_monte_carlo, survival_probability)
-from .fpp import sample_passage_times
 from . import rng
 
 EXIT_OK = 0
@@ -104,12 +104,12 @@ def _grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError("grid must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (parse(float, p, "grid value") for p in parts)
         if step <= 0:
             raise ValidationError("grid step must be positive")
         n = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + i * step for i in range(max(n, 1))]
-    return [float(p) for p in text.split(",") if p]
+    return [parse(float, p, "grid value") for p in text.split(",") if p]
 
 
 def _replicated(fn, count: int, workers: int) -> list:
@@ -278,8 +278,9 @@ def _cmd_walk(args) -> int:
 def _cmd_fpp(args) -> int:
     spec = _load_spec(args)
     law = Distribution.load(args.dist)
-    report = fpp_report(spec, law, args.depth, args.seeds, _grid(args.ygrid),
-                        seed=args.seed)
+    report, replicate = fpp_setup(spec, law, args.depth, args.seeds,
+                                  _grid(args.ygrid), seed=args.seed)
+    report.profiles = _replicated(replicate, args.seeds, args.workers)
     rows = report.rows()
     summary = {
         "branching": report.branching,
@@ -304,8 +305,8 @@ def _cmd_percolate(args) -> int:
     if args.proof:
         law = Distribution.load(_need(args.dist, "dist"))
         tree = build_truncation(spec, args.depth)
-        rows = []
-        for i in range(args.seeds):
+
+        def one(i: int) -> dict:
             seed = rng.derive(args.seed, i)
             if args.proof == "rwre":
                 env = sample_environment(tree, law, seed)
@@ -313,9 +314,11 @@ def _cmd_percolate(args) -> int:
             else:
                 sample = sample_passage_times(tree, law, seed)
                 pp = proof_percolation_fpp(sample, args.k, args.y, args.bigm)
-            rows.append({"replicate": i, "q_hat": pp.q_hat,
-                         "stderr": pp.q_hat_stderr, "survived": pp.survived,
-                         "edges": pp.n_edges})
+            return {"replicate": i, "q_hat": pp.q_hat,
+                    "stderr": pp.q_hat_stderr, "survived": pp.survived,
+                    "edges": pp.n_edges}
+
+        rows = _replicated(one, args.seeds, args.workers)
         _emit(rows, {"mean_q_hat": float(np.mean([r["q_hat"] for r in rows]))},
               args)
         return EXIT_OK

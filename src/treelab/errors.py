@@ -16,3 +16,12 @@ class ResourceCapError(TreelabError, RuntimeError):
 
 class UnsupportedCaseError(TreelabError, ValueError):
     """Input falls in a case this package deliberately does not handle.  CLI exit code 4."""
+
+
+def parse(convert, value, what: str):
+    """convert(value), with a ValueError, TypeError or OverflowError raised as
+    a ValidationError naming `what` (a malformed value in an input document)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,13 +45,9 @@ def sample_passage_times(tree: Tree, law: Distribution, seed: int) -> PassageSam
     v = tree.n_vertices
     x = np.zeros(v)
     if v > 1:
-        x[1:] = law.sample_values(rng.derive(seed, _TAG_PASSAGE),
-                                  np.arange(1, v, dtype=np.uint64))
-    s = x.copy()
-    for k in range(2, tree.truncation_depth + 1):
-        sl = tree.level_slice(k)
-        s[sl] += s[tree.parent[sl]]
-    return PassageSample(tree=tree, law=law, seed=seed, x=x, s=s)
+        law.sample_values(rng.derive(seed, _TAG_PASSAGE),
+                          np.arange(1, v, dtype=np.uint64), out=x[1:])
+    return PassageSample(tree=tree, law=law, seed=seed, x=x, s=tree.sweep_down(x))
 
 
 def first_passage_min(sample: PassageSample, n: int) -> float:
@@ -161,14 +158,13 @@ def _branching_for(spec: TreeSpec, depth: int, *,
     return est.midpoint, False
 
 
-def fpp_report(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
-               y_grid, *, seed: int = 0,
-               vertex_cap: int | None = None) -> FppReport:
-    """Replicated profiles with the transit-rate and exponent predictions.
-
-    Replicate i uses the derived seed (seed, i), so reports are reproducible
-    and worker-independent.
-    """
+def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
+              y_grid, *, seed: int = 0, vertex_cap: int | None = None
+              ) -> tuple[FppReport, Callable[[int], ProfileStats]]:
+    """The shared part of `fpp_report`: a report with the predictions and no
+    profiles yet, and the per-seed step that makes the profile of replicate
+    i.  The caches every replicate reads (the law's sampling table, the
+    lineage mask) are built here, so the step may run on several threads."""
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
@@ -181,12 +177,29 @@ def fpp_report(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
              if rate_m(law, float(yy)) > 0.0 else -math.inf
              for yy in y])
     tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+    law._guide, tree._lineage  # fill both caches before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate)
-    for i in range(seeds):
+
+    def replicate(i: int) -> ProfileStats:
         sample = sample_passage_times(tree, law, rng.derive(seed, i))
         prof = level_profile(sample, depth, y)
         prof.predicted_rate = predicted_rate
         prof.predicted_exponents = predicted_exp
-        report.profiles.append(prof)
+        return prof
+
+    return report, replicate
+
+
+def fpp_report(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
+               y_grid, *, seed: int = 0,
+               vertex_cap: int | None = None) -> FppReport:
+    """Replicated profiles with the transit-rate and exponent predictions.
+
+    Replicate i uses the derived seed (seed, i), so reports are reproducible
+    and worker-independent.
+    """
+    report, replicate = fpp_setup(spec, law, depth, seeds, y_grid, seed=seed,
+                                  vertex_cap=vertex_cap)
+    report.profiles = [replicate(i) for i in range(seeds)]
     return report

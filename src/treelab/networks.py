@@ -41,9 +41,11 @@ class Environment:
         return self.tree.n_vertices
 
 
-def _edge_log_values(law: Distribution, seed: int, ids: np.ndarray) -> np.ndarray:
-    """log A for the given vertex ids, keyed by (seed, id)."""
-    return np.log(law.sample_values(rng.derive(seed, _TAG_EDGE_VALUES), ids))
+def _edge_log_values(law: Distribution, seed: int, ids: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """log A for the given vertex ids, keyed by (seed, id); into `out` if given."""
+    vals = law.sample_values(rng.derive(seed, _TAG_EDGE_VALUES), ids, out=out)
+    return np.log(vals, out=vals)
 
 
 def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
@@ -57,12 +59,9 @@ def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     v = tree.n_vertices
     log_a = np.zeros(v)
     if v > 1:
-        log_a[1:] = _edge_log_values(law, seed, np.arange(1, v, dtype=np.uint64))
-    log_c = log_a.copy()
-    for k in range(2, tree.truncation_depth + 1):
-        sl = tree.level_slice(k)
-        log_c[sl] += log_c[tree.parent[sl]]
-    return Environment(tree=tree, law=law, seed=seed, log_a=log_a, log_c=log_c)
+        _edge_log_values(law, seed, np.arange(1, v, dtype=np.uint64), out=log_a[1:])
+    return Environment(tree=tree, law=law, seed=seed, log_a=log_a,
+                       log_c=tree.sweep_down(log_a))
 
 
 def conductances(env: Environment, ids=None) -> np.ndarray:

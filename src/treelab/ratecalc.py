@@ -21,13 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, UnsupportedCaseError, ValidationError
+from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
+                     parse)
 from . import rng
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 _WEIGHT_TOL = 1e-12
 _CONVOLVE_MERGE_TOL = 1e-12
 _DEFAULT_CONVOLVE_CAP = 1 << 22
+_GUIDE_MAX_BITS = 16  # sampling guide table: at most 2**16 buckets
+_GUIDE_MAX_GAP = 8    # beyond this many steps per bucket, binary search
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +155,75 @@ class Distribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_values(self, key: int, counters) -> np.ndarray:
-        """Draw i.i.d. values keyed by (key, counter); reproducible, order-free."""
-        u = rng.uniforms(key, counters)
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Indexed inverse-CDF search in mantissa space (Chen & Asau 1974).
+
+        With u = m * 2**-53, cw_i <= u exactly when T_i <= m for the integer
+        thresholds T_i = ceil(cw_i * 2**53), so `searchsorted(cw, u, "right")`
+        is the number of thresholds <= m.  Bucket j of the guide table covers
+        the m whose top `k` bits are j and holds that count at the bucket's
+        first m; `gap` is the most thresholds any bucket contains.  Returns
+        (guide, thresholds, shift, gap) with shift = 53 - k; gap is -1 when
+        no table up to 2**_GUIDE_MAX_BITS buckets has gap <= _GUIDE_MAX_GAP.
+        """
+        cap = 2.0 ** rng.MANTISSA_BITS
+        # Rounding drift can push cumulative weights before the last (pinned
+        # to 1) past 1; clipping at 2**53 keeps the thresholds sorted and
+        # changes no count, since every m is below 2**53.
+        t = np.minimum(np.ceil(self._cum_weights * cap), cap).astype(np.int64)
+        bits = min(max(4, len(t).bit_length() + 1), _GUIDE_MAX_BITS)
+        while True:
+            shift = rng.MANTISSA_BITS - bits
+            starts = np.arange(1 << bits, dtype=np.int64) << shift
+            guide = np.searchsorted(t, starts, side="right")
+            ends = np.searchsorted(t, starts + ((1 << shift) - 1), side="right")
+            gap = int((ends - guide).max())
+            if gap <= 1 or bits >= _GUIDE_MAX_BITS:
+                break
+            bits += 1
+        if gap > _GUIDE_MAX_GAP:
+            gap = -1
+        if gap == 0:  # every bucket holds one value: look it up directly
+            guide = self._sorted[0][guide]
+        return guide, t, shift, gap
+
+    def sample_values(self, key: int, counters, out=None) -> np.ndarray:
+        """Draw i.i.d. values keyed by (key, counter); reproducible, order-free.
+
+        The value for counter c is s[searchsorted(cw, uniforms(key, c),
+        "right")] over the sorted support s and cumulative weights cw, bit
+        for bit; it is computed in integer space by `_guide`, one chunk of
+        mantissas at a time.  `out`, a C-contiguous float64 array of the
+        counters' shape, receives the values instead of a new array.
+        """
         s, _ = self._sorted
-        idx = np.searchsorted(self._cum_weights, u, side="right")
-        return s[idx]
+        c = np.asarray(counters, dtype=np.uint64)
+        if out is None:
+            out = np.empty(c.shape, dtype=np.float64)
+        elif (out.shape != c.shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array "
+                             "of the counters' shape")
+        guide, t, shift, gap = self._guide
+        flat = out.reshape(-1)
+        idx = np.empty(min(flat.size, rng.CHUNK), dtype=np.intp)
+        thr = np.empty_like(idx)
+        for sl, m in rng.mantissa_chunks(key, c.reshape(-1)):
+            dst, ix, tx = flat[sl], idx[:len(m)], thr[:len(m)]
+            if gap < 0:
+                np.take(s, np.searchsorted(t, m, side="right"), out=dst, mode="clip")
+                continue
+            np.right_shift(m, shift, out=ix)
+            if gap == 0:
+                np.take(guide, ix, out=dst, mode="clip")
+                continue
+            np.take(guide, ix, out=ix, mode="clip")
+            for _ in range(gap):
+                np.take(t, ix, out=tx, mode="clip")
+                ix += tx <= m
+            np.take(s, ix, out=dst, mode="clip")
+        return out if out.ndim else out[()]
 
     # -- serialization ------------------------------------------------------
 
@@ -183,11 +249,13 @@ class Distribution:
             if isinstance(v, str):
                 if v.strip().lower() in ("inf", "+inf", "infinity"):
                     return math.inf
-                raise ValidationError(f"bad support token {v!r}")
+                raise ValueError(f"unknown token {v!r}")
             return float(v)
 
-        return cls(tuple(dec(v) for v in raw_support),
-                   tuple(float(w) for w in raw_weights))
+        return cls(parse(lambda vals: tuple(dec(v) for v in vals), raw_support,
+                         "support"),
+                   parse(lambda vals: tuple(float(w) for w in vals), raw_weights,
+                         "weights"))
 
     @classmethod
     def load(cls, path) -> "Distribution":

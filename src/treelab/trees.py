@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, parse
 from .ratecalc import Distribution
 from . import rng
 
@@ -30,10 +30,15 @@ _CAP_ENV_VAR = "TREELAB_VERTEX_CAP"
 
 _TAG_OFFSPRING = 0x0FF5
 _TAG_ATTEMPT = 0xA77E
+_SWEEP_CHUNK = 1 << 16  # vertices per gather in `Tree.sweep_down`
 
 _SPINE_RULES = {
     "pow2_minus_one": lambda d: 2 ** (d + 1) - 1,
 }
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
 
 
 def effective_vertex_cap(override: int | None = None) -> int:
@@ -89,26 +94,27 @@ class TreeSpec:
 
     @classmethod
     def homogeneous(cls, b: int) -> "TreeSpec":
-        return cls(kind="homogeneous", b=int(b))
+        return cls(kind="homogeneous", b=parse(int, b, "branching factor b"))
 
     @classmethod
     def galton_watson(cls, offspring: Distribution, seed: int,
                       condition_nonextinct: bool = False) -> "TreeSpec":
-        return cls(kind="galton_watson", offspring=offspring, seed=int(seed),
+        return cls(kind="galton_watson", offspring=offspring,
+                   seed=parse(int, seed, "seed"),
                    condition_nonextinct=condition_nonextinct)
 
     @classmethod
     def spine_with_leaves(cls, leaf_rule="pow2_minus_one") -> "TreeSpec":
         if isinstance(leaf_rule, (list, tuple)):
-            leaf_rule = tuple(int(c) for c in leaf_rule)
+            leaf_rule = parse(_int_tuple, leaf_rule, "leaf rule")
         return cls(kind="spine_with_leaves", leaf_rule=leaf_rule)
 
     @classmethod
     def explicit(cls, parents: Sequence[int],
                  extendable: Sequence[int] | None = None) -> "TreeSpec":
-        return cls(kind="explicit", parents=tuple(int(p) for p in parents),
+        return cls(kind="explicit", parents=parse(_int_tuple, parents, "parent table"),
                    extendable_ids=None if extendable is None
-                   else tuple(int(v) for v in extendable))
+                   else parse(_int_tuple, extendable, "extendable ids"))
 
     # -- helpers ------------------------------------------------------------
 
@@ -188,10 +194,8 @@ class TreeSpec:
                                      bool(doc.get("condition_nonextinct", False)))
         if kind == "spine_with_leaves":
             rule = doc.get("leaf_rule", "pow2_minus_one")
-            if isinstance(rule, list):
-                rule = tuple(int(c) for c in rule)
-            elif isinstance(rule, (int, float)) and not isinstance(rule, bool):
-                rule = int(rule)
+            if isinstance(rule, (int, float)) and not isinstance(rule, bool):
+                rule = parse(int, rule, "leaf rule")
             return cls.spine_with_leaves(rule)
         if kind == "explicit":
             return cls.explicit(required("parents"), doc.get("extendable"))
@@ -259,6 +263,24 @@ class Tree:
         lo = int(np.searchsorted(seg, v, side="left")) + sl.start
         hi = int(np.searchsorted(seg, v, side="right")) + sl.start
         return slice(lo, hi)
+
+    def sweep_down(self, edge_vals: np.ndarray) -> np.ndarray:
+        """Root-path sums: out[v] = edge_vals[v] + out[parent(v)], with
+        out[v] = edge_vals[v] on levels 0 and 1 (the root has no edge).
+
+        Levels go top-down; parents are gathered a chunk at a time into one
+        reused buffer, so no level-size temporary is built.
+        """
+        out = np.array(edge_vals, dtype=np.float64)
+        buf = np.empty(min(_SWEEP_CHUNK, self.n_vertices))
+        for k in range(2, self.truncation_depth + 1):
+            sl = self.level_slice(k)
+            for lo in range(sl.start, sl.stop, _SWEEP_CHUNK):
+                hi = min(lo + _SWEEP_CHUNK, sl.stop)
+                b = buf[:hi - lo]
+                np.take(out, self.parent[lo:hi], out=b)
+                out[lo:hi] += b
+        return out
 
     @cached_property
     def _lineage(self) -> np.ndarray:

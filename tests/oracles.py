@@ -171,3 +171,64 @@ def retention_sum(support, weights, k: int, y: float, big_m: float) -> float:
         if s <= k * y + 1e-12 and all(support[i] <= big_m for i in combo):
             total += w
     return total
+
+
+# ---------------------------------------------------------------------------
+# Keyed sampling by whole-array expressions
+# ---------------------------------------------------------------------------
+
+def splitmix_hash(key: int, counters) -> np.ndarray:
+    """splitmix64 of key + (counter + 1) * golden, one whole-array expression
+    per step (no chunks, no scratch buffers)."""
+    c = np.asarray(counters, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(key & 0xFFFFFFFFFFFFFFFF) + (c + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def splitmix_uniforms(key: int, counters) -> np.ndarray:
+    """Doubles in [0, 1): the top 53 hash bits times 2**-53."""
+    return (splitmix_hash(key, counters) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def sample_by_searchsorted(law, key: int, counters) -> np.ndarray:
+    """Inverse-CDF draws: sorted support at searchsorted(cw, u, "right"), with
+    cw the cumulative sorted weights, its last entry pinned to 1."""
+    order = np.argsort(np.asarray(law.support, dtype=np.float64))
+    support = np.asarray(law.support, dtype=np.float64)[order]
+    cw = np.cumsum(np.asarray(law.weights, dtype=np.float64)[order])
+    cw[-1] = 1.0
+    return support[np.searchsorted(cw, splitmix_uniforms(key, counters), side="right")]
+
+
+def root_path_sums(parent, edge_vals) -> np.ndarray:
+    """out[v] = edge_vals[v] + out[parent[v]] vertex by vertex in id order,
+    with the root's own entry left out (levels 0 and 1 keep edge_vals)."""
+    out = np.array(edge_vals, dtype=np.float64)
+    for v in range(1, len(parent)):
+        if parent[v] > 0:
+            out[v] = out[v] + out[parent[v]]
+    return out
+
+
+def _unxorshift(y: np.ndarray, s: int) -> np.ndarray:
+    """Inverse of x -> x ^ (x >> s) on uint64."""
+    x = y.copy()
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> np.uint64(s))
+    return x
+
+
+def counters_for_mantissas(key: int, mantissas, low_bits: int = 0) -> np.ndarray:
+    """Counters c with (splitmix_hash(key, c) >> 11) == mantissas, by running
+    splitmix64 backwards (xorshifts and odd multipliers are invertible)."""
+    mask = (1 << 64) - 1
+    h = (np.asarray(mantissas, dtype=np.uint64) << np.uint64(11)) | np.uint64(low_bits & 0x7FF)
+    with np.errstate(over="ignore"):
+        z = _unxorshift(h, 31) * np.uint64(pow(0x94D049BB133111EB, -1, 1 << 64))
+        z = _unxorshift(z, 27) * np.uint64(pow(0xBF58476D1CE4E5B9, -1, 1 << 64))
+        z = _unxorshift(z, 30)
+        c = (z - np.uint64(key & mask)) * np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))
+        return c - np.uint64(1)

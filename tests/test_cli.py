@@ -107,6 +107,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "'b'" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "homogeneous", "b": "x"},
+        {"kind": "explicit", "parents": "ab"},
+        {"kind": "galton_watson", "seed": "s",
+         "offspring": {"schema": 1, "support": [1, 2], "weights": [0.5, 0.5]}},
+    ], ids=["b", "parents", "seed"])
+    def test_malformed_tree_value_is_config_error(self, tmp_path, capsys, doc):
+        spec = tmp_path / "bad_value.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["tree", "--tree", str(spec), "--depth", "3"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_parent_list_token_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "parents.txt"
+        spec.write_text("0 0 x 1\n")
+        assert main(["tree", "--tree", str(spec), "--depth", "3"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["abc", "0:a:1"])
+    def test_malformed_grid_is_config_error(self, files, capsys, grid):
+        assert main(["fpp", "--tree", files["hom2"], "--dist", files["x_law"],
+                     "--depth", "3", "--ygrid", grid]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_weight_is_config_error(self, tmp_path, capsys):
+        law = tmp_path / "bad_weights.json"
+        law.write_text(json.dumps({"support": [1, 2], "weights": ["a", 0.5]}))
+        assert main(["rate", "--dist", str(law)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_library_key_error_is_not_a_config_error(self, files, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -155,3 +185,34 @@ class TestDeterminism:
                          "--seeds", "4", "--seed", "3", "--out", str(path)]) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_percolate_proof_workers(self, files, tmp_path):
+        outs = []
+        for tag, workers in (("a", "1"), ("b", "3")):
+            path = tmp_path / f"proof_{tag}.csv"
+            assert main(["percolate", "--tree", files["hom2"], "--dist",
+                         files["x_law"], "--depth", "8", "--proof", "fpp",
+                         "--k", "2", "--y", "0.6", "--seeds", "5", "--seed", "4",
+                         "--workers", workers, "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["fpp", "--ygrid", "0:1:0.5"],
+        ["percolate", "--proof", "fpp", "--k", "2"],
+        ["percolate", "--proof", "rwre", "--k", "2", "--y", "0.6"],
+    ], ids=["fpp", "proof-fpp", "proof-rwre"])
+    def test_workers_reach_the_pool(self, files, monkeypatch, argv):
+        calls = []
+        replicated = cli._replicated
+
+        def spy(fn, count, workers):
+            calls.append((count, workers))
+            return replicated(fn, count, workers)
+
+        monkeypatch.setattr(cli, "_replicated", spy)
+        law = files["a_law"] if "rwre" in argv else files["x_law"]
+        assert main(argv + ["--tree", files["hom2"], "--dist", law,
+                            "--depth", "6", "--seeds", "4",
+                            "--workers", "3"]) == 0
+        assert calls == [(4, 3)]
