@@ -11,7 +11,7 @@ from .trees import (Tree, TreeSpec, build_truncation, contract_k,
                     extendable_lineage, level_sizes, load_parent_list,
                     truncate, validate_tree)
 from .branching import (BranchingEstimate, branching_number, cutset_min,
-                        growth_rate)
+                        estimate_branching, growth_rate)
 from .networks import (Environment, capacity_flow, effective_conductance,
                        homogeneous_conductance, homogeneous_constant_conductance,
                        max_flow, sample_environment, weighted_cut_inf)

@@ -33,46 +33,57 @@ def log_cutset_min(tree: Tree, lam: float) -> float:
     """log of the cutset minimum (-inf for trees with no extendable frontier).
 
     The DP runs entirely in log space, so deep thin trees cannot underflow.
+    It climbs leaf to root holding one level at a time: the values of the
+    alive vertices (those with extendable lineage) of the level below, in id
+    order.  Every alive depth-n vertex costs exactly c_n = -n log(lam), so the
+    first step needs no per-child float work: with exp(0) == 1 and a sum of
+    ones exact, a depth-(n-1) parent's children total c_n + log(#alive
+    children) bit for bit.  Deeper steps take each parent's max with
+    `np.maximum.at` and sum exp(child - max) with a weighted `np.bincount`,
+    children in id order: per alive vertex, the float operations of a DP
+    over whole-tree arrays.
     """
     if not lam > 0.0:
         raise ValidationError("lambda must be positive")
     alive = extendable_lineage(tree)
     if not alive[0]:
         return -math.inf
-    if tree.truncation_depth == 0:
+    n = tree.truncation_depth
+    if n == 0:
         raise ValidationError("a depth-0 truncation has no cutsets")
     log_lam = math.log(lam)
 
-    # log_val[v] = log cost of the cheapest cutset inside v's subtree that
-    # separates the root from v's extendable frontier (v itself allowed)
-    log_val = np.full(tree.n_vertices, -np.inf)
-    n = tree.truncation_depth
-    frontier = tree.extendable
-    log_val[frontier] = -tree.depth[frontier] * log_lam
+    sizes = tree.level_sizes()
 
-    for k in range(n - 1, 0, -1):
-        child_sl = tree.level_slice(k + 1)
+    def alive_parents(k: int) -> np.ndarray:
+        """Level-(k-1) offsets of the parents of level k's alive vertices."""
         sl = tree.level_slice(k)
-        if sl.start == sl.stop:
-            continue
-        sel = alive[child_sl]
-        if not sel.any():
-            continue  # nothing below this level carries constraints
-        child_ids = np.arange(child_sl.start, child_sl.stop)[sel]
-        child_log = log_val[child_ids]
-        local = tree.parent[child_ids] - sl.start
-        m_k = sl.stop - sl.start
-        mx = np.full(m_k, -np.inf)
-        np.maximum.at(mx, local, child_log)
-        sums = np.bincount(local, weights=np.exp(child_log - mx[local]),
-                           minlength=m_k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            child_total = np.where(sums > 0, mx + np.log(sums), -np.inf)
-        own = -tree.depth[sl] * log_lam
-        log_val[sl] = np.where(alive[sl], np.minimum(own, child_total), -np.inf)
+        local = tree.parent[sl] - int(tree.level_offsets[k - 1])
+        live = alive[sl]
+        return local if len(local) == np.count_nonzero(live) else local[live]
 
-    lvl1 = tree.level_slice(1)
-    vals = log_val[lvl1][alive[lvl1]]
+    def alive_values(k: int, child_total: np.ndarray) -> np.ndarray:
+        """min(own cost, children's total) at level k, alive vertices only."""
+        vals = np.minimum(-k * log_lam, child_total, out=child_total)
+        live = alive[tree.level_slice(k)]
+        return vals if len(vals) == np.count_nonzero(live) else vals[live]
+
+    if n == 1:
+        vals = np.full(np.count_nonzero(alive[tree.level_slice(1)]), -log_lam)
+    else:
+        counts = np.bincount(alive_parents(n), minlength=int(sizes[n - 1]))
+        with np.errstate(divide="ignore"):
+            vals = alive_values(n - 1, -n * log_lam + np.log(counts))
+    for k in range(n - 2, 0, -1):
+        local = alive_parents(k + 1)
+        mx = np.full(int(sizes[k]), -np.inf)
+        np.maximum.at(mx, local, vals)
+        w = mx[local]
+        np.exp(np.subtract(vals, w, out=w), out=w)
+        sums = np.bincount(local, weights=w, minlength=len(mx))
+        with np.errstate(divide="ignore"):
+            vals = alive_values(k, np.add(mx, np.log(sums, out=sums), out=sums))
+
     mx = float(vals.max())
     return mx + math.log(float(np.exp(vals - mx).sum()))
 
@@ -145,28 +156,44 @@ def _decay_rate(deep: Tree, half: Tree, lam: float) -> float:
     return math.exp((log_cutset_min(deep, lam) - log_cutset_min(half, lam)) / steps)
 
 
-def branching_number(spec: TreeSpec, max_depth: int, tol: float, *,
-                     vertex_cap: int | None = None) -> BranchingEstimate:
-    """Interval estimate of the branching number from cutset-decay behavior.
-
-    A lambda is judged past the branching number when the cutset minimum at
-    max_depth falls below half its value at max_depth // 2; bisection brackets
-    that switch-over.  The raw switch-over lambda overshoots by the threshold
-    factor 2**(2/max_depth), so the reported interval instead comes from the
-    measured per-level decay rate at supercritical probes: at lambda > br the
-    cutset minimum shrinks by br/lambda per level, which recovers br exactly
-    on regular trees.  The half-depth values use a prefix of the same
-    truncation, so conditioned family trees stay coupled.
-    """
+def _check_estimate_args(max_depth: int, tol: float) -> None:
     if max_depth < 4:
         raise ValidationError("max_depth must be >= 4")
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
-    deep = build_truncation(spec, max_depth, vertex_cap=vertex_cap)
+
+
+def branching_number(spec: TreeSpec, max_depth: int, tol: float, *,
+                     vertex_cap: int | None = None) -> BranchingEstimate:
+    """`estimate_branching` on the spec's depth-`max_depth` truncation.
+
+    Arguments are checked before anything is built.
+    """
+    _check_estimate_args(max_depth, tol)
+    return estimate_branching(build_truncation(spec, max_depth, vertex_cap=vertex_cap),
+                              tol)
+
+
+def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
+    """Interval estimate of the branching number from cutset-decay behavior
+    on a built truncation (depth >= 4).
+
+    A lambda is judged past the branching number when the cutset minimum at
+    the truncation depth n falls below half its value at n // 2; bisection
+    brackets that switch-over.  The raw switch-over lambda overshoots by the
+    threshold factor 2**(2/n), so the reported interval instead comes from
+    the measured per-level decay rate at supercritical probes: at lambda > br
+    the cutset minimum shrinks by br/lambda per level, which recovers br
+    exactly on regular trees.  The half-depth values use a prefix of the same
+    truncation, so conditioned family trees stay coupled.  Each probe is two
+    `log_cutset_min` calls; callers that already hold the truncation pass it
+    here rather than building it again.
+    """
+    _check_estimate_args(deep.truncation_depth, tol)
     if not deep.has_extendable_frontier:
         return BranchingEstimate(0.0, 0.0, inconclusive=False,
                                  note="finite tree (no extendable frontier)")
-    half = truncate(deep, max_depth // 2)
+    half = truncate(deep, deep.truncation_depth // 2)
 
     def decayed(lam: float) -> bool:
         steps = deep.truncation_depth - half.truncation_depth

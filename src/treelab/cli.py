@@ -22,7 +22,7 @@ from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
 from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
 from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
-from .branching import branching_number, cutset_min, growth_rate
+from .branching import cutset_min, estimate_branching, growth_rate
 from .networks import (capacity_flow, effective_conductance, sample_environment,
                        weighted_cut_inf)
 from .rwre import classify, escape_probability, simulate_walk
@@ -126,7 +126,7 @@ def _replicated(fn, count: int, workers: int) -> list:
 
 def _cmd_tree(args) -> int:
     spec = _load_spec(args)
-    tree = build_truncation(spec, args.depth)
+    full = tree = build_truncation(spec, args.depth)
     if args.contract:
         tree = contract_k(tree, args.contract)
     rows = [{"level": k, "count": int(c)}
@@ -137,7 +137,7 @@ def _cmd_tree(args) -> int:
         "extendable_frontier": int(tree.extendable.sum()),
     }
     if args.branching:
-        est = branching_number(spec, args.depth, args.tol)
+        est = estimate_branching(full, args.tol)
         summary.update({"branching_lo": est.lo, "branching_hi": est.hi,
                         "branching_inconclusive": est.inconclusive})
     if args.cutset_lambda is not None:
@@ -347,14 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "percolation on rooted trees.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p):
         p.add_argument("--out", help="write results to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="file format for --out")
         p.add_argument("--workers", type=int, default=1,
                        help="worker threads for replicates (output unaffected)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("tree", help="materialize a truncation and report shape")
     p.add_argument("--tree", required=True, help="spec JSON (or .txt parent list)")

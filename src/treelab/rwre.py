@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .ratecalc import Distribution, fractional_moment, p_value
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
-from .branching import branching_number, log_cutset_min
+from .branching import estimate_branching, log_cutset_min
 from .networks import Environment, conductances, effective_conductance
 from . import rng
 
@@ -230,7 +230,7 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
         br_lo = br_hi = br_exact
         boundary_tol = tol
     else:
-        est = branching_number(spec, depth, max(tol, 0.02), vertex_cap=vertex_cap)
+        est = estimate_branching(tree, max(tol, 0.02))
         br_lo, br_hi = est.lo, est.hi
         boundary_tol = max(tol, est.width)
 

@@ -189,9 +189,11 @@ class TreeSpec:
         if kind == "homogeneous":
             return cls.homogeneous(required("b"))
         if kind == "galton_watson":
+            condition = doc.get("condition_nonextinct", False)
+            if not isinstance(condition, bool):
+                raise ValidationError("condition_nonextinct must be true or false")
             return cls.galton_watson(Distribution.from_json(required("offspring")),
-                                     required("seed"),
-                                     bool(doc.get("condition_nonextinct", False)))
+                                     required("seed"), condition)
         if kind == "spine_with_leaves":
             rule = doc.get("leaf_rule", "pow2_minus_one")
             if isinstance(rule, (int, float)) and not isinstance(rule, bool):
@@ -428,7 +430,7 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
                     depth=np.zeros(1, dtype=np.int64),
                     extendable=ext[:1].copy(),
                     truncation_depth=depth)._freeze()
-    return _assemble(levels, depth, ext)._freeze()
+    return _assemble(levels, depth, ext)
 
 
 def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:

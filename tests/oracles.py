@@ -141,6 +141,56 @@ def min_cutset_sum(tree, capacities) -> float:
     return best
 
 
+def log_cutset_min_masked(tree, lam: float) -> float:
+    """The cutset DP over whole-tree arrays: a value slot for every vertex,
+    every level swept with a mask of its alive children and an explicit
+    id array, no closed form for the deepest level.  The float operations on
+    each alive vertex are the same as in `branching.log_cutset_min`, so the
+    two agree bit for bit; the lineage mask comes from `lineage_by_ancestors`.
+    """
+    if not lam > 0.0:
+        raise ValueError("lambda must be positive")
+    alive = np.array(lineage_by_ancestors(tree), dtype=bool)
+    if not alive[0]:
+        return -math.inf
+    if tree.truncation_depth == 0:
+        raise ValueError("a depth-0 truncation has no cutsets")
+    log_lam = math.log(lam)
+
+    # log_val[v] = log cost of the cheapest cutset inside v's subtree that
+    # separates the root from v's extendable frontier (v itself allowed)
+    log_val = np.full(tree.n_vertices, -np.inf)
+    n = tree.truncation_depth
+    frontier = tree.extendable
+    log_val[frontier] = -tree.depth[frontier] * log_lam
+
+    for k in range(n - 1, 0, -1):
+        child_sl = tree.level_slice(k + 1)
+        sl = tree.level_slice(k)
+        if sl.start == sl.stop:
+            continue
+        sel = alive[child_sl]
+        if not sel.any():
+            continue  # nothing below this level carries constraints
+        child_ids = np.arange(child_sl.start, child_sl.stop)[sel]
+        child_log = log_val[child_ids]
+        local = tree.parent[child_ids] - sl.start
+        m_k = sl.stop - sl.start
+        mx = np.full(m_k, -np.inf)
+        np.maximum.at(mx, local, child_log)
+        sums = np.bincount(local, weights=np.exp(child_log - mx[local]),
+                           minlength=m_k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            child_total = np.where(sums > 0, mx + np.log(sums), -np.inf)
+        own = -tree.depth[sl] * log_lam
+        log_val[sl] = np.where(alive[sl], np.minimum(own, child_total), -np.inf)
+
+    lvl1 = tree.level_slice(1)
+    vals = log_val[lvl1][alive[lvl1]]
+    mx = float(vals.max())
+    return mx + math.log(float(np.exp(vals - mx).sum()))
+
+
 # ---------------------------------------------------------------------------
 # Segment retention probabilities by enumeration
 # ---------------------------------------------------------------------------

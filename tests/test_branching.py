@@ -4,16 +4,21 @@ Hand-derived DP values and closed forms pin the cutset DP; the interval
 estimator is checked on generators whose branching numbers are known.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from treelab.branching import branching_number, cutset_min, growth_rate
+from treelab import branching
+from treelab.branching import (branching_number, cutset_min, estimate_branching,
+                               growth_rate, log_cutset_min)
 from treelab.errors import ValidationError
 from treelab.ratecalc import Distribution
-from treelab.trees import TreeSpec, build_truncation, truncate
+from treelab.trees import TreeSpec, build_truncation, contract_k, truncate
 
 import oracles
-from conftest import random_explicit_spec
+from conftest import random_explicit_spec, table_depth
 
 HOM2 = TreeSpec.homogeneous(2)
 SPINE = TreeSpec.spine_with_leaves()
@@ -102,6 +107,95 @@ def _full_depth_tree(spec):
             return tree
 
 
+@st.composite
+def explicit_trees(draw):
+    """Random parent tables cut at a random depth, so shallower leaves are
+    dead ends; half of them mark a subset of the cut level extendable."""
+    n = draw(st.integers(2, 40))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    depth = draw(st.integers(1, table_depth(parents)))
+    marks = None
+    if draw(st.booleans()):
+        dep = [0]
+        for par in parents:
+            dep.append(dep[par] + 1)
+        marks = draw(st.lists(st.sampled_from(
+            [v for v in range(n) if dep[v] == depth]), unique=True))
+    return build_truncation(TreeSpec.explicit(parents, marks), depth)
+
+
+@st.composite
+def gw_trees(draw):
+    """Family trees with P(0) > 0, conditioned on surviving or not, and
+    without dead ends (P(0) = 0), where every level is alive and many
+    parents have three or more children: the case whose per-parent sum
+    order a segment reduction would change."""
+    p0 = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.45)))
+    law = Distribution.from_pairs([(0, p0)] * (p0 > 0) +
+                                  [(c, (1 - p0) / 4) for c in (1, 2, 3, 4)])
+    spec = TreeSpec.galton_watson(law, draw(st.integers(0, 2**31)),
+                                  condition_nonextinct=draw(st.booleans()))
+    return build_truncation(spec, draw(st.integers(1, 8)))
+
+
+@st.composite
+def derived_trees(draw):
+    """Spines, and truncations and k-contractions of the trees above."""
+    kind = draw(st.sampled_from(["spine", "truncate", "contract"]))
+    if kind == "spine":
+        rule = draw(st.one_of(st.just("pow2_minus_one"), st.integers(0, 4)))
+        return build_truncation(TreeSpec.spine_with_leaves(rule),
+                                draw(st.integers(1, 8)))
+    base = draw(st.one_of(explicit_trees(), gw_trees()))
+    if kind == "truncate":
+        return truncate(base, draw(st.integers(1, base.truncation_depth)))
+    k = draw(st.integers(1, 3))
+    if base.truncation_depth < k:
+        k = 1
+    return contract_k(truncate(base, base.truncation_depth // k * k), k)
+
+
+LAMBDAS = st.one_of(
+    st.sampled_from([1e-3, 0.5, 1.0, 2.0, 3.0, 2.0**40]),
+    st.floats(math.log(1e-3), 40 * math.log(2.0)).map(
+        lambda x: min(math.exp(x), 2.0**40)))
+
+
+class TestCutsetOracle:
+    """`log_cutset_min` against the whole-tree masked DP, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(explicit_trees(), gw_trees(), derived_trees()), LAMBDAS)
+    @example(build_truncation(TreeSpec.explicit([0, 0, 0]), 1), 2.0)
+    @example(build_truncation(TreeSpec.explicit([0, 0, 1], extendable=[2]), 1), 1e-3)
+    @example(build_truncation(TreeSpec.homogeneous(2), 1), 2.0**40)
+    @example(contract_k(build_truncation(TreeSpec.homogeneous(2), 8), 2), 3.0)
+    def test_matches_masked_dp(self, tree, lam):
+        assert log_cutset_min(tree, lam).hex() == \
+            oracles.log_cutset_min_masked(tree, lam).hex()
+
+    def test_depth_one_level_sum(self):
+        # no level is swept at depth 1: the value is log(#extendable / lam)
+        t = build_truncation(TreeSpec.explicit([0, 0, 0, 1], extendable=[1, 3]), 1)
+        assert log_cutset_min(t, 2.0) == pytest.approx(math.log(2 / 2.0), abs=1e-15)
+        assert log_cutset_min(t, 2.0) == oracles.log_cutset_min_masked(t, 2.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_benchmark_law_family_trees(self, seed):
+        # the benchmark's conditioned family law at depth 12 and its half:
+        # no dead ends, up to three children per parent.  A per-parent sum
+        # in another association (np.add.reduceat) moves the last bit of the
+        # result at a few of these (seed, lambda) pairs, near lambda = br.
+        spec = TreeSpec.galton_watson(
+            Distribution.from_pairs([(1, 0.3), (2, 0.4), (3, 0.3)]), seed,
+            condition_nonextinct=True)
+        deep = build_truncation(spec, 12)
+        for tree in (deep, truncate(deep, 6)):
+            for lam in (1e-3, 1.0, 1.9, 2.0, 2.1, 2.5, 3.0, 2.0**40):
+                assert log_cutset_min(tree, lam).hex() == \
+                    oracles.log_cutset_min_masked(tree, lam).hex()
+
+
 class TestBranchingNumber:
     def test_homogeneous_two(self):
         est = branching_number(HOM2, 16, 0.05)
@@ -140,6 +234,27 @@ class TestBranchingNumber:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             branching_number(HOM2, 3, 0.1)
+        with pytest.raises(ValidationError):
+            estimate_branching(build_truncation(HOM2, 3), 0.1)
+
+    def test_arguments_checked_before_building(self, monkeypatch):
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("built a tree for invalid arguments")
+
+        monkeypatch.setattr(branching, "build_truncation", unbuildable)
+        for depth, tol in ((3, 0.1), (8, 0.0), (8, -1.0)):
+            with pytest.raises(ValidationError):
+                branching_number(HOM2, depth, tol)
+
+    @pytest.mark.parametrize("spec,depth", [
+        (HOM2, 10),
+        (TreeSpec.galton_watson(Distribution.uniform([0.0, 3.0]), seed=11,
+                                condition_nonextinct=True), 14),
+        (TreeSpec.explicit([0, 0, 1], extendable=[]), 4),
+    ], ids=["hom2", "conditioned-gw", "finite"])
+    def test_built_tree_matches_spec_wrapper(self, spec, depth):
+        est = estimate_branching(build_truncation(spec, depth), 0.05)
+        assert est == branching_number(spec, depth, 0.05)
 
 
 class TestGrowthRate:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from treelab import cli, rwre
+from treelab import branching, cli, rwre, trees
+from treelab.branching import branching_number
 from treelab.cli import main
+from treelab.trees import TreeSpec
 
 HOM2_DOC = {"schema": 1, "kind": "homogeneous", "b": 2}
 A_LAW_DOC = {"schema": 1, "support": [0.5, 0.75], "weights": [0.5, 0.5]}
@@ -137,6 +139,15 @@ class TestExitCodes:
         assert main(["rate", "--dist", str(law)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_string_condition_flag_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "gw.json"
+        spec.write_text(json.dumps({
+            "kind": "galton_watson", "seed": 3, "condition_nonextinct": "false",
+            "offspring": {"support": [0, 1, 2], "weights": [0.5, 0.25, 0.25]}}))
+        assert main(["tree", "--tree", str(spec), "--depth", "6"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "condition_nonextinct" in err
+
     def test_library_key_error_is_not_a_config_error(self, files, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -216,3 +227,65 @@ class TestDeterminism:
                             "--depth", "6", "--seeds", "4",
                             "--workers", "3"]) == 0
         assert calls == [(4, 3)]
+
+
+# a complete binary tree of depth 6 as a literal parent table
+BINARY6_PARENTS = [(v - 1) // 2 for v in range(1, 2**7 - 1)]
+
+
+class TestBuildOnce:
+    """Each command materializes its truncation once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = trees.build_truncation
+
+        def spy(spec, depth, **kwargs):
+            calls.append((spec.kind, depth))
+            return real(spec, depth, **kwargs)
+
+        for module in (cli, branching, rwre):
+            monkeypatch.setattr(module, "build_truncation", spy)
+        return calls
+
+    def test_tree_branching(self, files, builds, capsys):
+        assert main(["tree", "--tree", files["hom2"], "--depth", "8",
+                     "--branching"]) == 0
+        assert builds == [("homogeneous", 8)]
+        assert "# branching_lo" in capsys.readouterr().out
+
+    def test_classify_explicit(self, files, builds, tmp_path, capsys):
+        spec = tmp_path / "binary6.json"
+        spec.write_text(json.dumps({"kind": "explicit",
+                                    "parents": BINARY6_PARENTS}))
+        assert main(["classify", "--tree", str(spec), "--dist",
+                     files["a_law"], "--depth", "6"]) == 0
+        assert builds == [("explicit", 6)]
+        report = json.loads(capsys.readouterr().out)
+        assert report["branching"]["exact"] is False
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_contracted_tree_keeps_uncontracted_branching(self, files, tmp_path,
+                                                          capsys, fmt):
+        # --branching estimates on the depth-8 tree, not on its 2-contraction,
+        # so the output is the contraction's plus the estimate from the spec
+        common = ["tree", "--tree", files["hom2"], "--depth", "8",
+                  "--contract", "2", "--format", fmt]
+        plain, with_br = tmp_path / f"plain.{fmt}", tmp_path / f"br.{fmt}"
+        assert main(common + ["--out", str(plain)]) == 0
+        plain_out = capsys.readouterr().out
+        assert main(common + ["--branching", "--out", str(with_br)]) == 0
+        br_out = capsys.readouterr().out
+        est = branching_number(TreeSpec.homogeneous(2), 8, 0.05)
+        extra = {"branching_lo": est.lo, "branching_hi": est.hi,
+                 "branching_inconclusive": est.inconclusive}
+        assert br_out == plain_out + "".join(
+            f"# {k} = {cli._fmt(v)}\n" for k, v in extra.items())
+        if fmt == "csv":
+            assert with_br.read_bytes() == plain.read_bytes()
+        else:
+            doc = json.loads(plain.read_text())
+            doc["summary"].update(extra)
+            assert with_br.read_text() == json.dumps(
+                doc, sort_keys=True, default=cli._fmt) + "\n"

@@ -319,3 +319,22 @@ class TestSerialization:
     def test_missing_field_named(self, doc, missing):
         with pytest.raises(ValidationError, match=f"'{missing}'"):
             TreeSpec.from_json(doc)
+
+    @pytest.mark.parametrize("value,vertices", [
+        (False, 2), (True, 12), (None, 2),
+    ], ids=["false", "true", "missing"])
+    def test_condition_flag_is_a_json_bool(self, value, vertices):
+        doc = {"kind": "galton_watson", "seed": 3,
+               "offspring": {"support": [0, 1, 2], "weights": [0.5, 0.25, 0.25]}}
+        if value is not None:
+            doc["condition_nonextinct"] = value
+        spec = TreeSpec.from_json(doc)
+        assert spec.condition_nonextinct is bool(value)
+        assert build_truncation(spec, 6).n_vertices == vertices
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_condition_flag_rejects_non_bools(self, value):
+        doc = {"kind": "galton_watson", "seed": 3, "condition_nonextinct": value,
+               "offspring": {"support": [0, 1, 2], "weights": [0.5, 0.25, 0.25]}}
+        with pytest.raises(ValidationError, match="condition_nonextinct"):
+            TreeSpec.from_json(doc)
