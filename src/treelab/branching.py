@@ -147,6 +147,7 @@ def growth_rate(tree: Tree) -> float:
 
 
 _DECAY_FACTOR = 0.5
+_FLOOR = 1.0  # every infinite tree branches at >= 1: unit cutset sums are >= 1
 _MAX_LAMBDA = 2.0**40
 
 
@@ -199,7 +200,7 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
         steps = deep.truncation_depth - half.truncation_depth
         return _decay_rate(deep, half, lam) ** steps < _DECAY_FACTOR
 
-    lo = 1.0  # every infinite tree branches at >= 1: unit cutset sums are >= 1
+    lo = _FLOOR
     hi = max(2.0, growth_rate(deep) + 1.0)
     while not decayed(hi):
         hi *= 2.0
@@ -213,11 +214,12 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
         else:
             lo = mid
 
-    # de-biased estimates from the decay rate at two supercritical probes
+    # de-biased estimates from the decay rate at two supercritical probes,
+    # kept at or above the floor
     estimates = [probe * _decay_rate(deep, half, probe)
                  for probe in (hi + tol, 1.5 * hi + 0.5)]
-    lo_est = min(estimates) - 0.5 * tol
-    hi_est = max(estimates) + 0.5 * tol
+    lo_est = max(_FLOOR, min(estimates) - 0.5 * tol)
+    hi_est = max(_FLOOR, max(estimates) + 0.5 * tol)
     wide = (hi_est - lo_est) > 0.5
     return BranchingEstimate(lo_est, hi_est, inconclusive=wide,
                              note="interval wider than 0.5" if wide else "")

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .ratecalc import Distribution, m_inverse, rate_m
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage
-from .branching import branching_number
+from .branching import branching_number, estimate_branching
 from . import rng
 
 _TAG_PASSAGE = 0xF22A
@@ -148,13 +148,18 @@ class FppReport:
         }
 
 
-def _branching_for(spec: TreeSpec, depth: int, *,
+def _branching_for(spec: TreeSpec, tree: Tree, *,
                    vertex_cap: int | None = None) -> tuple[float, bool]:
+    """The spec's branching number, else an estimate at depth 4..24 that
+    reads `tree` when its depth is in that range."""
     exact = spec.known_branching()
     if exact is not None:
         return exact, True
-    est = branching_number(spec, max(4, min(depth, 24)), 0.05,
-                           vertex_cap=vertex_cap)
+    if 4 <= tree.truncation_depth <= 24:
+        est = estimate_branching(tree, 0.05)
+    else:
+        est = branching_number(spec, max(4, min(tree.truncation_depth, 24)), 0.05,
+                               vertex_cap=vertex_cap)
     return est.midpoint, False
 
 
@@ -168,7 +173,8 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
-    br, br_exact = _branching_for(spec, depth, vertex_cap=vertex_cap)
+    tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+    br, br_exact = _branching_for(spec, tree, vertex_cap=vertex_cap)
     predicted_rate = m_inverse(law, min(1.0, 1.0 / br))
     y = np.asarray(list(y_grid), dtype=np.float64)
     with np.errstate(divide="ignore"):
@@ -176,7 +182,6 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
             [math.log(rate_m(law, float(yy)) * br)
              if rate_m(law, float(yy)) > 0.0 else -math.inf
              for yy in y])
-    tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
     law._guide, tree._lineage  # fill both caches before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate)

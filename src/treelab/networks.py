@@ -2,8 +2,15 @@
 
 Each non-root vertex v carries an i.i.d. transition ratio A_v; the edge above
 v gets conductance (or capacity) C_v, the product of A along the root path.
-Products are kept in log space because deep products of A leave double range;
-the conductance DP converts locally with clamps at exp(+-700).
+An `Environment` is keyed by (tree, law, seed): every A_v is a pure function
+of (seed, v), so its arrays are filled on first read, and code that needs
+only some levels reads those.  Products are kept in log space because deep
+products of A leave double range.
+
+Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
+from the grounded level to the root, one level at a time, on the ratios A
+alone, in doubles, or on log h where an h leaves double range.  Flows and
+kernel rows read C itself, clamped at exp(+-700).
 
 The truncation's extendable frontier is treated as a single grounded node,
 the standard finite approximant of conductance to infinity: values are exact
@@ -13,7 +20,6 @@ for the truncation and monotone in depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +30,7 @@ from . import rng
 
 _TAG_EDGE_VALUES = 0xED6E
 _LOG_CLAMP = 700.0
-
-
-@dataclass
-class Environment:
-    """Per-edge log ratios and per-vertex log cumulative conductances."""
-
-    tree: Tree
-    law: Distribution
-    seed: int
-    log_a: np.ndarray  # log A_v; entry 0 (root) is 0 by convention
-    log_c: np.ndarray  # log C_v = sum of log A along the root path
-
-    @property
-    def n_vertices(self) -> int:
-        return self.tree.n_vertices
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 def _edge_log_values(law: Distribution, seed: int, ids: np.ndarray,
@@ -48,20 +40,65 @@ def _edge_log_values(law: Distribution, seed: int, ids: np.ndarray,
     return np.log(vals, out=vals)
 
 
+class Environment:
+    """Per-edge log ratios and per-vertex log cumulative conductances.
+
+    `log_a` and `log_c` are computed on first read and then kept; arrays
+    passed to the constructor are used as given.  Reads from several threads
+    at once may each compute an array, with the same values.
+    """
+
+    def __init__(self, tree: Tree, law: Distribution, seed: int,
+                 log_a: np.ndarray | None = None, log_c: np.ndarray | None = None):
+        self.tree = tree
+        self.law = law
+        self.seed = seed
+        self._log_a = log_a
+        self._log_c = log_c
+
+    @property
+    def n_vertices(self) -> int:
+        return self.tree.n_vertices
+
+    @property
+    def log_a(self) -> np.ndarray:
+        """log A_v; entry 0 (root) is 0 by convention."""
+        if self._log_a is None:
+            v = self.tree.n_vertices
+            log_a = np.zeros(v)
+            if v > 1:
+                _edge_log_values(self.law, self.seed,
+                                 np.arange(1, v, dtype=np.uint64), out=log_a[1:])
+            self._log_a = log_a
+        return self._log_a
+
+    @property
+    def log_c(self) -> np.ndarray:
+        """log C_v = sum of log A along the root path."""
+        if self._log_c is None:
+            self._log_c = self.tree.sweep_down(self.log_a)
+        return self._log_c
+
+    def level_log_a(self, k: int) -> np.ndarray:
+        """log A_v over level k >= 1: a view of `log_a` once it has been
+        read, else drawn for that level alone with the same values."""
+        sl = self.tree.level_slice(k)
+        if self._log_a is not None:
+            return self._log_a[sl]
+        return _edge_log_values(self.law, self.seed,
+                                np.arange(sl.start, sl.stop, dtype=np.uint64))
+
+
 def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
-    """Draw i.i.d. ratios A_v keyed by (seed, vertex id).
+    """The environment of i.i.d. ratios A_v keyed by (seed, vertex id).
 
     Values are independent of traversal order and worker count, and agree on
     the shared prefix across truncation depths.  Laws with mass at 0 or +inf
     are rejected: the regime theory implemented here assumes 0 < A < inf.
+    Nothing is drawn until the environment is read.
     """
     law.require_positive_finite()
-    v = tree.n_vertices
-    log_a = np.zeros(v)
-    if v > 1:
-        _edge_log_values(law, seed, np.arange(1, v, dtype=np.uint64), out=log_a[1:])
-    return Environment(tree=tree, law=law, seed=seed, log_a=log_a,
-                       log_c=tree.sweep_down(log_a))
+    return Environment(tree, law, seed)
 
 
 def conductances(env: Environment, ids=None) -> np.ndarray:
@@ -86,30 +123,59 @@ def level_conductance_sums(env: Environment) -> np.ndarray:
 # Electrical conductance
 # ---------------------------------------------------------------------------
 
-def _conductance_dp(tree: Tree, edge_cond: np.ndarray, ground: np.ndarray) -> float:
-    """Series-parallel collapse onto a grounded vertex set.
+def _ratio_step(a, s):
+    """h = A * s / (1 + s): the conductance of a subtree, its top edge
+    included, over the conductance at the subtree's parent, from the ratio A
+    of the top edge and the sum s of the children's h (s = 0: no current).
 
-    ground[v] = True treats v as directly connected to the ground node through
-    its own edge; branches that never reach ground contribute 0.
+    Dividing first keeps A * s from overflowing while h is in range.
     """
-    sub = np.zeros(tree.n_vertices)
-    n = tree.truncation_depth
-    sub[ground] = edge_cond[ground]
-    for k in range(n - 1, 0, -1):
-        sl = tree.level_slice(k)
-        child_sl = tree.level_slice(k + 1)
-        if sl.start == sl.stop:
-            continue
-        s = np.bincount(tree.parent[child_sl] - sl.start,
-                        weights=sub[child_sl],
-                        minlength=sl.stop - sl.start)
-        c_e = edge_cond[sl]
-        with np.errstate(divide="ignore"):
-            series = 1.0 / (1.0 / c_e + 1.0 / s)
-        keep = ~ground[sl]
-        sub[sl] = np.where(keep, np.where(s > 0.0, series, 0.0), sub[sl])
-    lvl1 = tree.level_slice(1)
-    return float(sub[lvl1].sum())
+    return a * (s / (1.0 + s))
+
+
+def _group_logsumexp(x: np.ndarray, group: np.ndarray, m: int) -> np.ndarray:
+    """log of the sums of exp(x) over the m groups (-inf for an empty sum)."""
+    top = np.full(m, -np.inf)
+    np.maximum.at(top, group, x)
+    top[np.isneginf(top)] = 0.0
+    return top + np.log(np.bincount(group, weights=np.exp(x - top[group]),
+                                    minlength=m))
+
+
+def _ratio_recursion(depth: int, log_a, parents, grounded=None) -> float:
+    """The conductance by h = A * (s / (1 + s)) from level `depth` to the root.
+
+    log_a(k) is log A over level k; parents(k) is, for each vertex of level
+    k, its parent's offset within level k - 1, and that level's size.
+    `grounded` masks the level-`depth` vertices joined to ground (None: all).
+    The recursion runs in doubles; if an h leaves double range (an underflow
+    where current flows, or an overflow), it runs again on log h, accurate
+    to a few ulps of |log h|, so 0.0 means no current or a value below
+    double range, and inf a value above it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.exp(log_a(depth))
+        if grounded is not None:
+            h[~grounded] = 0.0
+        for k in range(depth - 1, 0, -1):
+            group, m = parents(k + 1)
+            s = np.bincount(group, weights=h, minlength=m)
+            del group, h  # the child level is not needed while level k is drawn
+            h = _ratio_step(np.exp(log_a(k)), s)
+            if np.count_nonzero(h < _TINY) > np.count_nonzero(s == 0.0):
+                break  # an h underflowed where current flows
+        else:
+            g = float(h.sum())
+            if math.isfinite(g):
+                return g
+    log_h = log_a(depth)
+    if grounded is not None:
+        log_h = np.where(grounded, log_h, -np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(depth - 1, 0, -1):
+            group, m = parents(k + 1)
+            log_h = log_a(k) - np.logaddexp(0.0, -_group_logsumexp(log_h, group, m))
+        return float(np.exp(_group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
 
 
 def effective_conductance(tree: Tree, env: Environment,
@@ -120,22 +186,28 @@ def effective_conductance(tree: Tree, env: Environment,
     pass `ground_depth` to ground every vertex at that depth instead (used by
     the escape-probability identity, where reaching a given depth is the
     event of interest whether or not the branch continues).
+
+    The ratio recursion reads one level of A at a time and never forms C, so
+    an environment that has not been read stays unread.  0.0 means that no
+    current flows or that the value is below double range.
     """
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
     if ground_depth is None:
-        return _conductance_dp(tree, conductances(env), tree.extendable)
-    if not 1 <= ground_depth <= tree.truncation_depth:
-        raise ValidationError("ground_depth must be in 1..truncation_depth")
-    if ground_depth < tree.truncation_depth:
-        from .trees import truncate
-        tree = truncate(tree, ground_depth)
-        env = Environment(tree=tree, law=env.law, seed=env.seed,
-                          log_a=env.log_a[:tree.n_vertices],
-                          log_c=env.log_c[:tree.n_vertices])
-    ground = np.zeros(tree.n_vertices, dtype=bool)
-    ground[tree.level_slice(ground_depth)] = True
-    return _conductance_dp(tree, conductances(env), ground)
+        depth = tree.truncation_depth
+        if depth < 1:
+            raise ValidationError("conductance needs truncation depth >= 1")
+        grounded = tree.extendable[tree.level_slice(depth)]
+    else:
+        if not 1 <= ground_depth <= tree.truncation_depth:
+            raise ValidationError("ground_depth must be in 1..truncation_depth")
+        depth, grounded = ground_depth, None
+
+    def parents(k: int) -> tuple[np.ndarray, int]:
+        off = tree.level_offsets
+        return tree.parent[tree.level_slice(k)] - off[k - 1], int(off[k] - off[k - 1])
+
+    return _ratio_recursion(depth, env.level_log_a, parents, grounded)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +269,16 @@ def weighted_cut_inf(tree: Tree, env: Environment, w: float) -> float:
 def homogeneous_constant_conductance(b: int, a: float, depth: int) -> float:
     """Exact conductance of homogeneous(b) with A == a, any depth, O(depth).
 
-    All subtrees at a level are identical, so the series-parallel collapse is
-    a scalar recursion on h = (subtree conductance) / (C at the subtree top).
+    All subtrees at a level are identical, so the ratio recursion of
+    `effective_conductance` is one scalar per level.
     """
     if b < 1 or depth < 1 or not 0.0 < a < math.inf:
         raise ValidationError("need b >= 1, depth >= 1, 0 < a < inf")
+    if b * a == math.inf:
+        return math.inf  # then h == a on every level: the top edges alone
     h = a  # frontier: the edge alone
     for _ in range(depth - 1):
-        s = b * h
-        h = a * s / (1.0 + s)
+        h = _ratio_step(a, b * h)
     return b * h
 
 
@@ -213,10 +286,11 @@ def homogeneous_conductance(spec: TreeSpec, law: Distribution, depth: int,
                             seed: int) -> float:
     """Exact per-seed conductance of a homogeneous truncation, one level resident.
 
-    Identical to effective_conductance on the materialized tree (same vertex
-    ids, same keyed draws) but holding only two levels of values at a time, so
-    depths beyond the materialization budget remain reachable when b**depth
-    values fit in memory level by level.
+    The ratio recursion of `effective_conductance` on the same vertex ids and
+    keyed draws, bit for bit, but with no tree: children are consecutive ids,
+    so only two levels of values are held at a time and depths beyond the
+    materialization budget remain reachable when b**depth values fit in
+    memory level by level.
     """
     if spec.kind != "homogeneous":
         raise ValidationError("streaming conductance needs a homogeneous spec")
@@ -226,14 +300,11 @@ def homogeneous_conductance(spec: TreeSpec, law: Distribution, depth: int,
         raise ValidationError("depth must be >= 1")
     offsets = np.cumsum([0] + [b**k for k in range(depth + 1)])
 
-    def level_a(k: int) -> np.ndarray:
-        ids = np.arange(offsets[k], offsets[k + 1], dtype=np.uint64)
-        return np.exp(_edge_log_values(law, seed, ids))
+    def log_a(k: int) -> np.ndarray:
+        return _edge_log_values(law, seed, np.arange(offsets[k], offsets[k + 1],
+                                                     dtype=np.uint64))
 
-    # h is the subtree conductance normalized by the conductance at its top,
-    # so only per-edge ratios enter and no cumulative products are needed
-    h = level_a(depth)
-    for k in range(depth - 1, 0, -1):
-        s = h.reshape(-1, b).sum(axis=1)
-        h = level_a(k) * s / (1.0 + s)
-    return float(h.sum())
+    def parents(k: int) -> tuple[np.ndarray, int]:
+        return np.arange(b**k) // b, b**(k - 1)
+
+    return _ratio_recursion(depth, log_a, parents)

@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the library's optimizers: rates come from
 dense grids (step 1e-4 on the optimization variable), tails from binomial
-arithmetic, and cut minima from exhaustive cutset enumeration.  Oracle values
-are computed first and frozen into the tests that exercise the real code.
+arithmetic, cut minima from exhaustive cutset enumeration, and conductance
+from series-parallel reduction in exact rationals.  Oracle values are
+computed first and frozen into the tests that exercise the real code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -189,6 +191,36 @@ def log_cutset_min_masked(tree, lam: float) -> float:
     vals = log_val[lvl1][alive[lvl1]]
     mx = float(vals.max())
     return mx + math.log(float(np.exp(vals - mx).sum()))
+
+
+# ---------------------------------------------------------------------------
+# Exact conductance in rationals
+# ---------------------------------------------------------------------------
+
+def conductance_exact(tree, a, ground) -> Fraction:
+    """Root-to-ground conductance of the tree's network, in exact rationals.
+
+    a[v] is the double A_v (entry 0 unused).  Edge conductances are the exact
+    products C_v of A along root paths, reduced by the series and parallel
+    laws vertex by vertex from the last id up: ground[v] joins v to the
+    ground node through its own edge, and what lies below it is ignored;
+    branches that reach no ground carry nothing.
+    """
+    parent = [int(p) for p in tree.parent]
+    n = len(parent)
+    c = [Fraction(1)] * n
+    for v in range(1, n):  # a parent's id is smaller than its children's
+        c[v] = c[parent[v]] * Fraction(float(a[v]))
+    below = [Fraction(0)] * n  # conductance from v to ground through its children
+    for v in range(n - 1, 0, -1):
+        if ground[v]:
+            k = c[v]
+        elif below[v] == 0:
+            k = Fraction(0)
+        else:
+            k = 1 / (1 / c[v] + 1 / below[v])
+        below[parent[v]] += k
+    return below[0]
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,16 @@ class TestBranchingNumber:
         est = branching_number(spec, 30, 0.1)
         assert 1.5 in est
 
+    def test_estimates_kept_at_or_above_one(self):
+        # a critical family tree conditioned to survive: the de-biased decay
+        # estimates fall below 1 (their midpoint was 0.933 here), under the
+        # floor of the bisection
+        critical = Distribution.from_pairs([(0, 0.25), (1, 0.5), (2, 0.25)])
+        spec = TreeSpec.galton_watson(critical, seed=5, condition_nonextinct=True)
+        est = branching_number(spec, 12, 0.05)
+        assert 1.0 == est.lo <= est.hi
+        assert 1.0 in est
+
     def test_finite_tree(self):
         spec = TreeSpec.explicit([0, 0, 1], extendable=[])
         est = branching_number(spec, 4, 0.1)

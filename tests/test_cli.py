@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from treelab import branching, cli, rwre, trees
+from treelab import branching, cli, rng, rwre, trees
 from treelab.branching import branching_number
 from treelab.cli import main
+from treelab.networks import homogeneous_conductance
+from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec
 
 HOM2_DOC = {"schema": 1, "kind": "homogeneous", "b": 2}
@@ -186,6 +188,29 @@ class TestDeterminism:
                          "--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("b,law", [
+        (2, A_LAW_DOC),
+        (3, {"schema": 1, "support": [1e-200, 1e-3, 1e200], "weights": [0.3, 0.4, 0.3]}),
+    ])
+    def test_conductance_rows_are_streaming_values(self, tmp_path, b, law):
+        spec_path, law_path = tmp_path / "spec.json", tmp_path / "law.json"
+        spec_path.write_text(json.dumps({"schema": 1, "kind": "homogeneous", "b": b}))
+        law_path.write_text(json.dumps(law))
+        outs = []
+        for workers in ("1", "3"):
+            path = tmp_path / f"cond_{workers}.json"
+            assert main(["conductance", "--tree", str(spec_path), "--dist",
+                         str(law_path), "--depth", "7", "--seeds", "6",
+                         "--seed", "11", "--workers", workers, "--format", "json",
+                         "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+        spec, dist = TreeSpec.homogeneous(b), Distribution.from_json(law)
+        for row in json.loads(outs[0])["rows"]:
+            value = homogeneous_conductance(spec, dist, 7,
+                                            rng.derive(11, row["replicate"]))
+            assert row["conductance"].hex() == value.hex()
 
     def test_rerun_identical(self, files, tmp_path):
         paths = []

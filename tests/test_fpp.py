@@ -13,10 +13,11 @@ import pytest
 from treelab.errors import ValidationError
 from treelab.ratecalc import Distribution, exact_tail_below, rate_m
 from treelab.trees import TreeSpec, build_truncation, extendable_lineage
+from treelab.branching import branching_number
 from treelab.fpp import (first_passage_min, fpp_report, level_profile,
                          sample_passage_times)
 from treelab.percolation import survival_probability
-from treelab import rng
+from treelab import branching, fpp, rng, trees
 
 HOM2 = TreeSpec.homogeneous(2)
 COIN = Distribution.uniform([0.0, 1.0])
@@ -182,6 +183,29 @@ class TestReport:
             math.log(2 * rate_m(COIN, 0.25)))
         doc = rep.to_json()
         assert doc["schema"] == 1 and len(doc["rows"]) == 4
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = trees.build_truncation
+
+        def spy(spec, depth, **kwargs):
+            calls.append(depth)
+            return real(spec, depth, **kwargs)
+
+        for module in (fpp, branching):
+            monkeypatch.setattr(module, "build_truncation", spy)
+        return calls
+
+    @pytest.mark.parametrize("depth,expected", [(12, [12]), (3, [3, 4])])
+    def test_estimated_branching_builds_once(self, builds, depth, expected):
+        # a critical family tree has no known branching number; from depth 4
+        # to 24 the estimate reads the truncation the profiles use
+        critical = Distribution.from_pairs([(0, 0.25), (1, 0.5), (2, 0.25)])
+        spec = TreeSpec.galton_watson(critical, seed=5, condition_nonextinct=True)
+        rep = fpp_report(spec, COIN, depth, 2, [0.5], seed=4)
+        assert builds == expected
+        assert rep.branching == branching_number(spec, max(depth, 4), 0.05).midpoint
 
     def test_spine_rate_prediction(self):
         # branching number 1: the fastest ray travels at the plain mean

@@ -2,23 +2,26 @@
 exhaustive cutset oracle."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treelab.errors import UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec, build_truncation, truncate
-from treelab.networks import (capacity_flow, effective_conductance,
+from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_conductance,
                               homogeneous_constant_conductance,
                               level_conductance_sums, max_flow,
                               sample_environment, weighted_cut_inf)
 from treelab.branching import cutset_min
+from treelab import networks, rng
 
 import oracles
-from conftest import random_explicit_spec
-from treelab import rng
+from conftest import random_explicit_spec, table_depth
 
 HOM2 = TreeSpec.homogeneous(2)
 UNIT = Distribution.point(1.0)
@@ -62,6 +65,77 @@ class TestEnvironment:
             sample_environment(t, Distribution.uniform([0.0, 2.0]), 0)
         with pytest.raises(UnsupportedCaseError):
             sample_environment(t, Distribution.uniform([1.0, math.inf]), 0)
+
+
+SPECS_AND_LAWS = [
+    (HOM2, Distribution.uniform([0.5, 0.75])),
+    (TreeSpec.homogeneous(3), Distribution.uniform([1e-200, 1.0, 1e200])),
+    (TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0, 3.0]), 4,
+                            condition_nonextinct=True),
+     Distribution.uniform([0.1, 0.5, 3.0])),
+]
+
+
+class TestLazyEnvironment:
+    """Arrays are filled on first read, bit-identical to drawing them eagerly."""
+
+    @pytest.mark.parametrize("spec,law", SPECS_AND_LAWS)
+    def test_arrays_match_eager_draws(self, spec, law):
+        t = build_truncation(spec, 7)
+        ids = np.arange(1, t.n_vertices, dtype=np.uint64)
+        for seed in (0, 9):
+            env = sample_environment(t, law, seed)
+            log_a = np.zeros(t.n_vertices)
+            log_a[1:] = np.log(oracles.sample_by_searchsorted(
+                law, rng.derive(seed, networks._TAG_EDGE_VALUES), ids))
+            assert env.log_c.tobytes() == oracles.root_path_sums(t.parent, log_a).tobytes()
+            assert env.log_a.tobytes() == log_a.tobytes()
+
+    def test_nothing_drawn_before_read(self):
+        t = build_truncation(HOM2, 6)
+        env = sample_environment(t, Distribution.uniform([0.5, 0.75]), 1)
+        effective_conductance(t, env)
+        effective_conductance(t, env, ground_depth=3)
+        assert env._log_a is None and env._log_c is None
+
+    def test_concurrent_first_reads_agree(self):
+        # threads racing on the first read may each fill an array; every
+        # reader must still see complete arrays with the eager values
+        t = build_truncation(HOM2, 12)
+        law = Distribution.uniform([0.5, 0.75])
+        ref = sample_environment(t, law, 3).log_c.copy()
+        env = sample_environment(t, law, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda: (env.log_c, env.level_log_a(12)))
+                           for _ in range(8)]
+                outs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for log_c, deepest in outs:
+            assert log_c.tobytes() == ref.tobytes()
+            assert deepest.tobytes() == env.log_a[t.level_slice(12)].tobytes()
+
+    def test_constructor_arrays_win(self):
+        t = build_truncation(PATH5, 5)
+        log_a = np.log([1.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        env = Environment(tree=t, law=UNIT, seed=0, log_a=log_a)
+        assert env.log_a is log_a
+        assert np.exp(env.log_c[-1]) == pytest.approx(32.0, rel=1e-12)
+        assert effective_conductance(t, env) == pytest.approx(
+            1 / sum(2.0**-k for k in range(1, 6)), rel=1e-12)
+
+    @pytest.mark.parametrize("spec,law", SPECS_AND_LAWS)
+    def test_conductance_same_bits_once_read(self, spec, law):
+        t = build_truncation(spec, 8)
+        for seed in range(3):
+            fresh, read = sample_environment(t, law, seed), sample_environment(t, law, seed)
+            read.log_c
+            for ground in (None, 1, 5, 8):
+                assert _bits(effective_conductance(t, fresh, ground)) == \
+                    _bits(effective_conductance(t, read, ground))
 
 
 class TestEffectiveConductance:
@@ -111,6 +185,151 @@ class TestEffectiveConductance:
         for d in (1, 2, 3):
             assert effective_conductance(t, env, ground_depth=d) == pytest.approx(
                 1 / d, rel=1e-12)
+
+    def test_depth_zero_rejected(self):
+        t = build_truncation(HOM2, 0)
+        with pytest.raises(ValidationError):
+            effective_conductance(t, sample_environment(t, UNIT, 0))
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestRatioRecursion:
+    """Every conductance entry point runs h = A * (s / (1 + s)), so values
+    stay finite and agree wherever the ratios h are in double range."""
+
+    @pytest.mark.parametrize("b,law,depth", [
+        (2, Distribution.uniform([0.5, 0.75]), 6),
+        (3, Distribution.uniform([1e-3, 1.0, 1e3]), 6),
+        (3, Distribution.uniform([1e-200, 1e200]), 5),  # some runs on log h
+        (2, Distribution.uniform([1e-40, 1e-39]), 10),  # below double range
+    ])
+    def test_streaming_same_bits(self, b, law, depth):
+        spec = TreeSpec.homogeneous(b)
+        t = build_truncation(spec, depth)
+        for seed in range(5):
+            env = sample_environment(t, law, seed)
+            assert _bits(homogeneous_conductance(spec, law, depth, seed)) == \
+                _bits(effective_conductance(t, env))
+
+    def test_large_constant_ratio_finite(self):
+        # A * s overflowed before the divide: both fast paths gave nan here
+        a = 1e200
+        t = build_truncation(HOM2, 3)
+        g = effective_conductance(t, sample_environment(t, Distribution.point(a), 0))
+        assert g == pytest.approx(2e200, rel=1e-12)
+        assert _bits(homogeneous_conductance(HOM2, Distribution.point(a), 3, 0)) == _bits(g)
+        assert homogeneous_constant_conductance(2, a, 3) == pytest.approx(g, rel=1e-12)
+
+    def test_wide_two_point_law_finite(self):
+        law = Distribution.uniform([1e-200, 1e200])
+        spec = TreeSpec.homogeneous(3)
+        t = build_truncation(spec, 3)
+        for seed in range(5):
+            env = sample_environment(t, law, seed)
+            a = np.exp(env.log_a)
+            for ground in (None, 1, 2, 3):
+                g = effective_conductance(t, env, ground)
+                mask = t.extendable if ground is None else t.depth == ground
+                assert math.isfinite(g) and g > 0.0
+                exact = float(oracles.conductance_exact(t, a, mask))
+                assert g == pytest.approx(exact, rel=1e-13, abs=0.0)
+            assert _bits(homogeneous_conductance(spec, law, 3, seed)) == \
+                _bits(effective_conductance(t, env))
+
+    def test_small_values_not_clamped(self):
+        # the old DP floored log C at -700 and returned 4.04e-301 here
+        a = 10.0**-25.5
+        t = build_truncation(HOM2, 12)
+        g = effective_conductance(t, sample_environment(t, Distribution.point(a), 0))
+        exact = homogeneous_constant_conductance(2, a, 12)
+        assert exact == pytest.approx(4.096e-303, rel=1e-12, abs=0.0)
+        assert g == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_underflowing_branch_still_counted(self):
+        # h underflows two levels up from the leaf (1e-200 * 1e-200) but the
+        # edges above it are 1e200 times larger: the conductance is about 1
+        t = build_truncation(TreeSpec.explicit([0, 1, 2, 3]), 4)
+        log_a = np.log([1.0, 1e200, 1e200, 1e-200, 1e-200])
+        env = Environment(tree=t, law=UNIT, seed=0, log_a=log_a)
+        exact = float(oracles.conductance_exact(t, np.exp(log_a), t.extendable))
+        assert exact == pytest.approx(1.0, rel=1e-12)
+        assert effective_conductance(t, env) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_above_range_is_inf(self):
+        law = Distribution.point(1.5e308)
+        t = build_truncation(HOM2, 2)
+        assert effective_conductance(t, sample_environment(t, law, 0)) == math.inf
+        assert homogeneous_conductance(HOM2, law, 2, 0) == math.inf
+        assert homogeneous_constant_conductance(2, 1.5e308, 2) == math.inf
+
+    def test_below_range_is_zero(self):
+        # the true value is below double range; the old DP gave 1.44e-302
+        law = Distribution.uniform([1e-40, 1e-39])
+        t = build_truncation(HOM2, 10)
+        for seed in range(3):
+            assert effective_conductance(t, sample_environment(t, law, seed)) == 0.0
+            assert homogeneous_conductance(HOM2, law, 10, seed) == 0.0
+
+
+# |log A| <= 110 over at most 6 levels keeps every h in double range, so the
+# recursion runs in doubles; |log A| <= 700 over 8 levels sends it to log h
+_IN_RANGE = (6, st.one_of(st.floats(-110.0, 110.0),
+                          st.sampled_from([-110.0, -50.0, 0.0, 50.0, 110.0])))
+_WIDE = (8, st.one_of(st.floats(-700.0, 700.0),
+                      st.sampled_from([-700.0, -460.0, 0.0, 460.0, 700.0])))
+
+
+@st.composite
+def _grounded_env(draw, depth_cap, log_a_values):
+    """A random tree with dead ends and extendable marks, a truncation depth,
+    an environment with the given log A values, and a ground."""
+    n = draw(st.integers(2, 24))
+    parents, depth = [], [0]
+    for _ in range(n - 1):
+        shallow = [v for v, d in enumerate(depth) if d < depth_cap]
+        p = shallow[draw(st.integers(0, len(shallow) - 1))]
+        parents.append(p)
+        depth.append(depth[p] + 1)
+    top = table_depth(parents)
+    bottom = [v for v, d in enumerate(depth) if d == top]
+    marks = draw(st.lists(st.sampled_from(bottom), unique=True))
+    tree = build_truncation(TreeSpec.explicit(parents, extendable=marks),
+                            draw(st.integers(1, top)))
+    log_a = np.array([0.0] + draw(st.lists(log_a_values, min_size=tree.n_vertices - 1,
+                                           max_size=tree.n_vertices - 1)))
+    env = Environment(tree=tree, law=UNIT, seed=0, log_a=log_a)
+    ground = draw(st.one_of(st.none(), st.integers(1, tree.truncation_depth)))
+    return env, ground
+
+
+def _against_exact_rationals(env, ground, rel):
+    tree = env.tree
+    mask = tree.extendable if ground is None else tree.depth == ground
+    exact = oracles.conductance_exact(tree, np.exp(env.log_a), mask)
+    g = effective_conductance(tree, env, ground)
+    if exact == 0:
+        assert g == 0.0
+    elif exact >= sys.float_info.min:
+        assert abs(g - float(exact)) <= rel * float(exact)
+    else:
+        assert g < 2 * sys.float_info.min
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grounded_env(*_IN_RANGE))
+def test_conductance_matches_exact_rationals(case):
+    _against_exact_rationals(*case, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grounded_env(*_WIDE))
+def test_conductance_matches_exact_rationals_past_double_range(case):
+    # products of A leave double range; the recursion then runs on log h,
+    # whose rounding is a few ulps of |log h| (up to about 5600 here)
+    _against_exact_rationals(*case, rel=1e-11)
 
 
 class TestMaxFlow:
