@@ -2,9 +2,10 @@
 
 The branching number is the infimum of lambda such that cutset sums
 sum(lambda**-|v|) can be driven to zero.  On a truncation the cutset minimum
-is an exact leaf-to-root DP; the branching number itself is a limit notion,
-so it is reported as an interval estimated from finite-depth decay behavior
-and documented as such.
+is an exact leaf-to-root DP in log space, `log_min_cut`, which with other
+weights also gives the flows of `networks`.  The branching number itself is
+a limit notion, so it is reported as an interval estimated from finite-depth
+decay behavior and documented as such.
 """
 
 from __future__ import annotations
@@ -29,63 +30,99 @@ class CutsetValue(float):
         return obj
 
 
-def log_cutset_min(tree: Tree, lam: float) -> float:
-    """log of the cutset minimum (-inf for trees with no extendable frontier).
+_LOWEST = np.finfo(np.float64).min  # the most negative double
 
-    The DP runs entirely in log space, so deep thin trees cannot underflow.
-    It climbs leaf to root holding one level at a time: the values of the
-    alive vertices (those with extendable lineage) of the level below, in id
-    order.  Every alive depth-n vertex costs exactly c_n = -n log(lam), so the
-    first step needs no per-child float work: with exp(0) == 1 and a sum of
-    ones exact, a depth-(n-1) parent's children total c_n + log(#alive
-    children) bit for bit.  Deeper steps take each parent's max with
-    `np.maximum.at` and sum exp(child - max) with a weighted `np.bincount`,
-    children in id order: per alive vertex, the float operations of a DP
-    over whole-tree arrays.
+
+def group_logsumexp(x: np.ndarray, group: np.ndarray, m: int) -> np.ndarray:
+    """log of the sums of exp(x) over the m groups (-inf for an empty sum or
+    a group of -inf values); a new array, x is left as it is.
+
+    Each group is shifted by its max, which starts from the lowest double
+    rather than -inf, so an all -inf group gives -inf with no inf - inf.
     """
-    if not lam > 0.0:
-        raise ValidationError("lambda must be positive")
+    top = np.full(m, _LOWEST)
+    np.maximum.at(top, group, x)
+    w = top[group]
+    np.exp(np.subtract(x, w, out=w), out=w)
+    sums = np.bincount(group, weights=w, minlength=m)
+    with np.errstate(divide="ignore"):
+        return np.add(top, np.log(sums, out=sums), out=sums)
+
+
+def log_min_cut(tree: Tree, level_log_weight) -> float:
+    """log of the minimum over cutsets of sum(exp(w_v)) (-inf for trees with
+    no extendable frontier), by one leaf-to-root DP in log space.
+
+    `level_log_weight(k)` gives w over level k: a scalar when every vertex of
+    the level weighs the same (cutsets: w = -k log lambda), else an array over
+    the level (flows: w = log C_v).  w may be -inf (weight 0), not +inf or
+    NaN.  By max-flow min-cut on trees this is also the max flow with
+    capacities exp(w_v).
+
+    The DP climbs leaf to root holding one level at a time: the values of the
+    alive vertices (those with extendable lineage) of the level below, in id
+    order.  With a scalar weight every alive depth-n vertex costs the same
+    c_n, so the first step needs no per-child float work: with exp(0) == 1
+    and a sum of ones exact, a depth-(n-1) parent's children total c_n +
+    log(#alive children) bit for bit.  Other steps sum each parent's
+    children with `group_logsumexp`, children in id order: per alive vertex,
+    the float operations of a DP over whole-tree arrays.
+    """
     alive = extendable_lineage(tree)
     if not alive[0]:
         return -math.inf
     n = tree.truncation_depth
     if n == 0:
         raise ValidationError("a depth-0 truncation has no cutsets")
-    log_lam = math.log(lam)
 
     sizes = tree.level_sizes()
+
+    def alive_only(k: int, vals: np.ndarray) -> np.ndarray:
+        live = alive[tree.level_slice(k)]
+        return vals if len(vals) == np.count_nonzero(live) else vals[live]
 
     def alive_parents(k: int) -> np.ndarray:
         """Level-(k-1) offsets of the parents of level k's alive vertices."""
         sl = tree.level_slice(k)
-        local = tree.parent[sl] - int(tree.level_offsets[k - 1])
-        live = alive[sl]
-        return local if len(local) == np.count_nonzero(live) else local[live]
+        return alive_only(k, tree.parent[sl] - int(tree.level_offsets[k - 1]))
 
     def alive_values(k: int, child_total: np.ndarray) -> np.ndarray:
-        """min(own cost, children's total) at level k, alive vertices only."""
-        vals = np.minimum(-k * log_lam, child_total, out=child_total)
-        live = alive[tree.level_slice(k)]
-        return vals if len(vals) == np.count_nonzero(live) else vals[live]
+        """min(own weight, children's total) at level k, alive vertices only."""
+        return alive_only(k, np.minimum(level_log_weight(k), child_total,
+                                        out=child_total))
 
-    if n == 1:
-        vals = np.full(np.count_nonzero(alive[tree.level_slice(1)]), -log_lam)
+    w_n = level_log_weight(n)
+    if np.ndim(w_n) == 0:
+        if n == 1:
+            vals = np.full(np.count_nonzero(alive[tree.level_slice(1)]), w_n)
+        else:
+            counts = np.bincount(alive_parents(n), minlength=int(sizes[n - 1]))
+            with np.errstate(divide="ignore"):
+                vals = alive_values(n - 1, w_n + np.log(counts))
+        top = n - 2
     else:
-        counts = np.bincount(alive_parents(n), minlength=int(sizes[n - 1]))
-        with np.errstate(divide="ignore"):
-            vals = alive_values(n - 1, -n * log_lam + np.log(counts))
-    for k in range(n - 2, 0, -1):
-        local = alive_parents(k + 1)
-        mx = np.full(int(sizes[k]), -np.inf)
-        np.maximum.at(mx, local, vals)
-        w = mx[local]
-        np.exp(np.subtract(vals, w, out=w), out=w)
-        sums = np.bincount(local, weights=w, minlength=len(mx))
-        with np.errstate(divide="ignore"):
-            vals = alive_values(k, np.add(mx, np.log(sums, out=sums), out=sums))
+        vals = alive_only(n, w_n)
+        top = n - 1
+    for k in range(top, 0, -1):
+        vals = alive_values(k, group_logsumexp(vals, alive_parents(k + 1),
+                                               int(sizes[k])))
 
     mx = float(vals.max())
+    if mx == -math.inf:
+        return mx  # every cut has weight 0
     return mx + math.log(float(np.exp(vals - mx).sum()))
+
+
+def log_cutset_min(tree: Tree, lam: float) -> float:
+    """log of the cutset minimum of sum(lam**-|v|) (-inf for trees with no
+    extendable frontier): `log_min_cut` with the level weight -k log(lam).
+
+    The DP runs entirely in log space, so deep thin trees cannot underflow.
+    """
+    if not lam > 0.0:
+        raise ValidationError("lambda must be positive")
+    log_lam = math.log(lam)
+    return log_min_cut(tree, lambda k: -k * log_lam)
 
 
 def cutset_min(tree: Tree, lam: float) -> CutsetValue:

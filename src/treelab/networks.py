@@ -9,8 +9,10 @@ products of A leave double range.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
-alone, in doubles, or on log h where an h leaves double range.  Flows and
-kernel rows read C itself, clamped at exp(+-700).
+alone, in doubles, or on log h where an h leaves double range.  Flows are
+min-cuts over sum(C_v), computed on log C by the leaf-to-root DP of
+`branching.log_min_cut` and exponentiated once, so they are exact over the
+double range: 0.0 means a flow below it, inf one above it.
 
 The truncation's extendable frontier is treated as a single grounded node,
 the standard finite approximant of conductance to infinity: values are exact
@@ -23,13 +25,13 @@ import math
 
 import numpy as np
 
+from .branching import group_logsumexp, log_min_cut
 from .errors import ValidationError
 from .ratecalc import Distribution
 from .trees import Tree, TreeSpec
 from . import rng
 
 _TAG_EDGE_VALUES = 0xED6E
-_LOG_CLAMP = 700.0
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
@@ -80,9 +82,12 @@ class Environment:
         return self._log_c
 
     def level_log_a(self, k: int) -> np.ndarray:
-        """log A_v over level k >= 1: a view of `log_a` once it has been
-        read, else drawn for that level alone with the same values."""
-        sl = self.tree.level_slice(k)
+        """log A_v over level k >= 1 (see `slice_log_a`)."""
+        return self.slice_log_a(self.tree.level_slice(k))
+
+    def slice_log_a(self, sl: slice) -> np.ndarray:
+        """log A_v over a slice of non-root ids: a view of `log_a` once it has
+        been read, else drawn for those ids alone with the same values."""
         if self._log_a is not None:
             return self._log_a[sl]
         return _edge_log_values(self.law, self.seed,
@@ -101,24 +106,6 @@ def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     return Environment(tree, law, seed)
 
 
-def conductances(env: Environment, ids=None) -> np.ndarray:
-    """Linear-space C_v with log values clamped to +-700 before exp.
-
-    `ids` (an index array or slice) restricts the result to those vertices;
-    each value is the same as in the whole-tree array.
-    """
-    log_c = env.log_c if ids is None else env.log_c[ids]
-    return np.exp(np.clip(log_c, -_LOG_CLAMP, _LOG_CLAMP))
-
-
-def level_conductance_sums(env: Environment) -> np.ndarray:
-    """sum of C_v over each level 1..n (index 0 of the result is level 1)."""
-    c = conductances(env)
-    tree = env.tree
-    return np.array([float(c[tree.level_slice(k)].sum())
-                     for k in range(1, tree.truncation_depth + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Electrical conductance
 # ---------------------------------------------------------------------------
@@ -131,15 +118,6 @@ def _ratio_step(a, s):
     Dividing first keeps A * s from overflowing while h is in range.
     """
     return a * (s / (1.0 + s))
-
-
-def _group_logsumexp(x: np.ndarray, group: np.ndarray, m: int) -> np.ndarray:
-    """log of the sums of exp(x) over the m groups (-inf for an empty sum)."""
-    top = np.full(m, -np.inf)
-    np.maximum.at(top, group, x)
-    top[np.isneginf(top)] = 0.0
-    return top + np.log(np.bincount(group, weights=np.exp(x - top[group]),
-                                    minlength=m))
 
 
 def _ratio_recursion(depth: int, log_a, parents, grounded=None) -> float:
@@ -174,8 +152,8 @@ def _ratio_recursion(depth: int, log_a, parents, grounded=None) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(depth - 1, 0, -1):
             group, m = parents(k + 1)
-            log_h = log_a(k) - np.logaddexp(0.0, -_group_logsumexp(log_h, group, m))
-        return float(np.exp(_group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
+            log_h = log_a(k) - np.logaddexp(0.0, -group_logsumexp(log_h, group, m))
+        return float(np.exp(group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
 
 
 def effective_conductance(tree: Tree, env: Environment,
@@ -214,42 +192,40 @@ def effective_conductance(tree: Tree, env: Environment,
 # Flows
 # ---------------------------------------------------------------------------
 
+def _exp(log_value: float) -> float:
+    """exp of a log flow: 0.0 below double range, inf above it."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
 def max_flow(tree: Tree, capacities: np.ndarray) -> float:
     """Max flow from the root to the extendable frontier, exact.
 
     capacities[v] is the capacity of the edge above v (entry 0 unused).
     Equals the minimum over cutsets of the capacity sum, by max-flow min-cut
-    on trees; dead-end branches carry nothing.
+    on trees; dead-end branches carry nothing.  The min-cut runs on log
+    capacities, an infinite capacity as the largest double.
     """
     capacities = np.asarray(capacities, dtype=np.float64)
     if capacities.shape != (tree.n_vertices,):
         raise ValidationError("need one capacity per vertex")
-    if np.any(capacities[1:] < 0.0):
-        raise ValidationError("capacities must be >= 0")
-    flow = np.zeros(tree.n_vertices)
-    n = tree.truncation_depth
-    frontier = tree.extendable
-    flow[frontier] = capacities[frontier]
-    for k in range(n - 1, 0, -1):
-        sl = tree.level_slice(k)
-        child_sl = tree.level_slice(k + 1)
-        if sl.start == sl.stop:
-            continue
-        s = np.bincount(tree.parent[child_sl] - sl.start,
-                        weights=flow[child_sl],
-                        minlength=sl.stop - sl.start)
-        flow[sl] = np.where(frontier[sl], flow[sl], np.minimum(capacities[sl], s))
-    lvl1 = tree.level_slice(1)
-    return float(flow[lvl1].sum())
+    if not np.all(capacities[1:] >= 0.0):
+        raise ValidationError("capacities must be >= 0 and not NaN")
+    # log(0) is -inf, a zero capacity; entry 0 is never read and may be anything
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_caps = np.minimum(np.log(capacities), np.finfo(np.float64).max)
+    return _exp(log_min_cut(tree, lambda k: log_caps[tree.level_slice(k)]))
 
 
 def capacity_flow(env: Environment) -> float:
     """Max flow with the conductances C_v as channel capacities."""
-    return max_flow(env.tree, conductances(env))
+    tree = env.tree
+    return _exp(log_min_cut(tree, lambda k: env.log_c[tree.level_slice(k)]))
 
 
 def weighted_cut_inf(tree: Tree, env: Environment, w: float) -> float:
-    """min over cutsets of sum(w**|v| * C_v), via the max-flow identity.
+    """min over cutsets of sum(w**|v| * C_v), the max flow with those
+    capacities.
 
     This is the exponentially-discounted cut functional whose positivity
     certifies positive conductance; w = 1 reduces to the plain capacity flow.
@@ -258,8 +234,9 @@ def weighted_cut_inf(tree: Tree, env: Environment, w: float) -> float:
         raise ValidationError("w must lie in (0, 1]")
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
-    log_caps = env.log_c + env.tree.depth * math.log(w)
-    return max_flow(tree, np.exp(np.clip(log_caps, -_LOG_CLAMP, _LOG_CLAMP)))
+    log_w = math.log(w)
+    return _exp(log_min_cut(
+        tree, lambda k: env.log_c[tree.level_slice(k)] + k * log_w))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,17 @@ class PercolationSample:
     reached_depth: int
 
 
+def _propagate(tree: Tree, open_edges: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Vertices joined to the root by open edges (one AND-sweep down the
+    levels), and whether an extendable frontier vertex is among them."""
+    reached = np.zeros(tree.n_vertices, dtype=bool)
+    reached[0] = True
+    for k in range(1, tree.truncation_depth + 1):
+        sl = tree.level_slice(k)
+        reached[sl] = open_edges[sl] & reached[tree.parent[sl]]
+    return reached, bool((reached & tree.extendable).any())
+
+
 def percolate_sample(tree: Tree, q: float, seed: int) -> PercolationSample:
     """Draw one open-edge subgraph keyed by (seed, vertex id)."""
     if not 0.0 <= q <= 1.0:
@@ -106,12 +117,7 @@ def percolate_sample(tree: Tree, q: float, seed: int) -> PercolationSample:
     if v > 1:
         u = rng.uniforms(rng.derive(seed, _TAG_PERC), np.arange(1, v, dtype=np.uint64))
         open_edges[1:] = u < q
-    reached = np.zeros(v, dtype=bool)
-    reached[0] = True
-    for k in range(1, tree.truncation_depth + 1):
-        sl = tree.level_slice(k)
-        reached[sl] = open_edges[sl] & reached[tree.parent[sl]]
-    survived = bool((reached & tree.extendable).any())
+    reached, survived = _propagate(tree, open_edges)
     depths = tree.depth[reached]
     return PercolationSample(tree=tree, q=q, seed=seed, open_edges=open_edges,
                              reached=reached, survived=survived,
@@ -168,13 +174,15 @@ class ProofPercolation:
     n_edges: int
 
 
-def _propagate(ctree: Tree, open_edges: np.ndarray) -> tuple[np.ndarray, bool]:
-    reached = np.zeros(ctree.n_vertices, dtype=bool)
-    reached[0] = True
-    for k in range(1, ctree.truncation_depth + 1):
-        sl = ctree.level_slice(k)
-        reached[sl] = open_edges[sl] & reached[ctree.parent[sl]]
-    return reached, bool((reached & ctree.extendable).any())
+def _segment_sums(ctree: Tree, path_sums: np.ndarray) -> np.ndarray:
+    """Each contracted edge's segment total, from root-path sums of the
+    source tree (0 at the root)."""
+    src = ctree.source_vertices
+    anc = np.where(ctree.parent >= 0, src[np.maximum(ctree.parent, 0)], -1)
+    return np.where(src > 0,
+                    path_sums[np.maximum(src, 0)]
+                    - np.where(anc > 0, path_sums[np.maximum(anc, 0)], 0.0),
+                    0.0)
 
 
 def _segment_stats(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
@@ -188,6 +196,21 @@ def _segment_stats(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
         out = vals if out is None else combine(out, vals)
         cur = np.where(cur > 0, tree.parent[np.maximum(cur, 0)], -1)
     return out
+
+
+def _proof_result(ctree: Tree, kept: np.ndarray) -> ProofPercolation:
+    """The percolation that opens each contracted edge where `kept` holds
+    (the root's entry is ignored), with its retention rate."""
+    nonroot = ctree.source_vertices > 0
+    open_edges = kept & nonroot
+    reached, survived = _propagate(ctree, open_edges)
+    n_edges = int(nonroot.sum())
+    q_hat = float(open_edges[nonroot].mean()) if n_edges else math.nan
+    stderr = math.sqrt(max(q_hat * (1 - q_hat), 1.0 / n_edges) / n_edges) \
+        if n_edges else math.nan
+    return ProofPercolation(contracted=ctree, open_edges=open_edges,
+                            reached=reached, survived=survived,
+                            q_hat=q_hat, q_hat_stderr=stderr, n_edges=n_edges)
 
 
 def proof_percolation_rwre(env: Environment, k: int, y: float,
@@ -205,27 +228,10 @@ def proof_percolation_rwre(env: Environment, k: int, y: float,
         raise ValidationError("eps must be positive")
     tree = env.tree
     ctree = contract_k(tree, k)
-    src = ctree.source_vertices
-    anc = np.where(ctree.parent >= 0, src[np.maximum(ctree.parent, 0)], -1)
-    log_prod = np.where(src > 0,
-                        env.log_c[np.maximum(src, 0)]
-                        - np.where(anc > 0, env.log_c[np.maximum(anc, 0)], 0.0),
-                        0.0)
+    log_prod = _segment_sums(ctree, env.log_c)
     min_a = _segment_stats(tree, ctree, env.log_a, k, np.minimum)
-    open_edges = np.zeros(ctree.n_vertices, dtype=bool)
-    nonroot = src > 0
-    open_edges[nonroot] = (
-        (log_prod[nonroot] >= k * math.log(y) - _TIE_TOL)
-        & (min_a[nonroot] >= math.log(eps) - _TIE_TOL)
-    )
-    reached, survived = _propagate(ctree, open_edges)
-    n_edges = int(nonroot.sum())
-    q_hat = float(open_edges[nonroot].mean()) if n_edges else math.nan
-    stderr = math.sqrt(max(q_hat * (1 - q_hat), 1.0 / n_edges) / n_edges) \
-        if n_edges else math.nan
-    return ProofPercolation(contracted=ctree, open_edges=open_edges,
-                            reached=reached, survived=survived,
-                            q_hat=q_hat, q_hat_stderr=stderr, n_edges=n_edges)
+    return _proof_result(ctree, (log_prod >= k * math.log(y) - _TIE_TOL)
+                         & (min_a >= math.log(eps) - _TIE_TOL))
 
 
 def proof_percolation_fpp(sample: PassageSample, k: int, y: float,
@@ -236,22 +242,7 @@ def proof_percolation_fpp(sample: PassageSample, k: int, y: float,
         raise ValidationError("the per-edge bound must be finite")
     tree = sample.tree
     ctree = contract_k(tree, k)
-    src = ctree.source_vertices
-    anc = np.where(ctree.parent >= 0, src[np.maximum(ctree.parent, 0)], -1)
-    seg_sum = np.where(src > 0,
-                       sample.s[np.maximum(src, 0)]
-                       - np.where(anc > 0, sample.s[np.maximum(anc, 0)], 0.0),
-                       0.0)
+    seg_sum = _segment_sums(ctree, sample.s)
     max_x = _segment_stats(tree, ctree, sample.x, k, np.maximum)
-    open_edges = np.zeros(ctree.n_vertices, dtype=bool)
-    nonroot = src > 0
-    open_edges[nonroot] = ((seg_sum[nonroot] <= k * y + _TIE_TOL)
-                           & (max_x[nonroot] <= big_m + _TIE_TOL))
-    reached, survived = _propagate(ctree, open_edges)
-    n_edges = int(nonroot.sum())
-    q_hat = float(open_edges[nonroot].mean()) if n_edges else math.nan
-    stderr = math.sqrt(max(q_hat * (1 - q_hat), 1.0 / n_edges) / n_edges) \
-        if n_edges else math.nan
-    return ProofPercolation(contracted=ctree, open_edges=open_edges,
-                            reached=reached, survived=survived,
-                            q_hat=q_hat, q_hat_stderr=stderr, n_edges=n_edges)
+    return _proof_result(ctree, (seg_sum <= k * y + _TIE_TOL)
+                         & (max_x <= big_m + _TIE_TOL))

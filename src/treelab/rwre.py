@@ -21,7 +21,7 @@ from .errors import ResourceCapError, ValidationError
 from .ratecalc import Distribution, fractional_moment, p_value
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
 from .branching import estimate_branching, log_cutset_min
-from .networks import Environment, conductances, effective_conductance
+from .networks import Environment, effective_conductance
 from . import rng
 
 _TAG_WALK = 0x3A1C
@@ -313,25 +313,28 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
 def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor ids and transition probabilities at a vertex.
 
-    Probabilities are proportional to the conductances of the incident edges:
-    the edge above the vertex (C of the vertex itself) and the edges to its
-    children (C of each child).  Only those entries are computed.
+    Probabilities are proportional to the conductances of the incident edges,
+    C_v above the vertex and C_v * A_c to each child c, so the row is
+    [1, A_c, ...] / (1 + sum A_c) (the root, with no edge above it, gives
+    [A_c, ...] / sum A_c).  It is built from the children's log A alone,
+    shifted by its largest entry before exp, so no weight leaves double
+    range; an environment that has not been read draws only those ids.
     """
     tree = env.tree
     if not 0 <= vertex < tree.n_vertices:
         raise ValidationError("vertex out of range")
     kids = tree.children_slice(vertex)
     kid_ids = np.arange(kids.start, kids.stop, dtype=np.int64)
+    log_w = env.slice_log_a(kids)
     if vertex == 0:
-        ids = edges = kid_ids
+        ids = kid_ids
+        if len(ids) == 0:
+            raise ValidationError("vertex 0 has no incident conductance")
     else:
         ids = np.concatenate(([tree.parent[vertex]], kid_ids))
-        edges = np.concatenate(([vertex], kid_ids))
-    weights = conductances(env, edges)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValidationError(f"vertex {vertex} has no incident conductance")
-    return ids, weights / total
+        log_w = np.concatenate(([0.0], log_w))
+    weights = np.exp(log_w - log_w.max())
+    return ids, weights / weights.sum()
 
 
 class _KernelCache:
@@ -430,12 +433,14 @@ class EscapeEstimate:
 
 def escape_probability_exact(env: Environment, depth: int) -> float:
     """P(reach `depth` before returning to the root), by the network identity:
-    conductance to the grounded depth divided by the root's total conductance."""
+    conductance to the grounded depth divided by the root's total conductance
+    (the sum of the level-1 A).  Neither reads more of the environment than
+    the levels down to `depth`."""
     tree = env.tree
     if not 1 <= depth <= tree.truncation_depth:
         raise ValidationError("depth must be in 1..truncation_depth")
     g = effective_conductance(tree, env, ground_depth=depth)
-    root_total = float(conductances(env, tree.level_slice(1)).sum())
+    root_total = float(np.exp(env.level_log_a(1)).sum())
     return g / root_total
 
 

@@ -587,37 +587,3 @@ def contract_k(tree: Tree, k: int) -> Tree:
                truncation_depth=tree.truncation_depth // k,
                source_vertices=src)
     return out._freeze()
-
-
-# ---------------------------------------------------------------------------
-# Cutset helpers
-# ---------------------------------------------------------------------------
-
-def is_cutset(tree: Tree, vertices) -> bool:
-    """Whether the id set is an antichain meeting every root-to-extendable path."""
-    chosen = set(int(v) for v in vertices)
-    if 0 in chosen:
-        return False
-    for v in chosen:  # antichain: no chosen vertex has a chosen proper ancestor
-        u = int(tree.parent[v])
-        while u > 0:
-            if u in chosen:
-                return False
-            u = int(tree.parent[u])
-    blocked = np.zeros(tree.n_vertices, dtype=bool)
-    for k in range(1, tree.truncation_depth + 1):
-        sl = tree.level_slice(k)
-        ids = np.arange(sl.start, sl.stop)
-        blocked[sl] = blocked[tree.parent[sl]] | np.isin(ids, list(chosen))
-    return bool(np.all(blocked[tree.extendable]))
-
-
-def level_cutset(tree: Tree, k: int, extendable_only: bool = True) -> np.ndarray:
-    """The canonical depth-k cutset (restricted to extendable lineage by default)."""
-    if not 1 <= k <= tree.truncation_depth:
-        raise ValidationError("level must be in 1..truncation_depth")
-    sl = tree.level_slice(k)
-    ids = np.arange(sl.start, sl.stop, dtype=np.int64)
-    if extendable_only:
-        ids = ids[extendable_lineage(tree)[sl]]
-    return ids

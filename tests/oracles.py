@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's optimizers: rates come from
 dense grids (step 1e-4 on the optimization variable), tails from binomial
-arithmetic, cut minima from exhaustive cutset enumeration, and conductance
-from series-parallel reduction in exact rationals.  Oracle values are
+arithmetic, cut minima from exhaustive cutset enumeration or a recursion in
+exact rationals, conductance from series-parallel reduction and kernel rows
+from conductance ratios, both in exact rationals.  Oracle values are
 computed first and frozen into the tests that exercise the real code.
 """
 
@@ -143,6 +144,37 @@ def min_cutset_sum(tree, capacities) -> float:
     return best
 
 
+def is_cutset(tree, vertices) -> bool:
+    """Whether the id set is an antichain meeting every root-to-extendable path."""
+    chosen = set(int(v) for v in vertices)
+    if 0 in chosen:
+        return False
+    for v in chosen:  # antichain: no chosen vertex has a chosen proper ancestor
+        u = int(tree.parent[v])
+        while u > 0:
+            if u in chosen:
+                return False
+            u = int(tree.parent[u])
+    blocked = np.zeros(tree.n_vertices, dtype=bool)
+    for k in range(1, tree.truncation_depth + 1):
+        sl = tree.level_slice(k)
+        ids = np.arange(sl.start, sl.stop)
+        blocked[sl] = blocked[tree.parent[sl]] | np.isin(ids, list(chosen))
+    return bool(np.all(blocked[tree.extendable]))
+
+
+def level_cutset(tree, k: int, extendable_only: bool = True) -> np.ndarray:
+    """The canonical depth-k cutset (restricted to extendable lineage by
+    default, found by `lineage_by_ancestors`)."""
+    if not 1 <= k <= tree.truncation_depth:
+        raise ValueError("level must be in 1..truncation_depth")
+    sl = tree.level_slice(k)
+    ids = np.arange(sl.start, sl.stop, dtype=np.int64)
+    if extendable_only:
+        ids = ids[np.array(lineage_by_ancestors(tree), dtype=bool)[sl]]
+    return ids
+
+
 def log_cutset_min_masked(tree, lam: float) -> float:
     """The cutset DP over whole-tree arrays: a value slot for every vertex,
     every level swept with a mask of its alive children and an explicit
@@ -208,9 +240,7 @@ def conductance_exact(tree, a, ground) -> Fraction:
     """
     parent = [int(p) for p in tree.parent]
     n = len(parent)
-    c = [Fraction(1)] * n
-    for v in range(1, n):  # a parent's id is smaller than its children's
-        c[v] = c[parent[v]] * Fraction(float(a[v]))
+    c = conductances_exact(tree, a)
     below = [Fraction(0)] * n  # conductance from v to ground through its children
     for v in range(n - 1, 0, -1):
         if ground[v]:
@@ -221,6 +251,41 @@ def conductance_exact(tree, a, ground) -> Fraction:
             k = 1 / (1 / c[v] + 1 / below[v])
         below[parent[v]] += k
     return below[0]
+
+
+def conductances_exact(tree, a, w=1) -> list[Fraction]:
+    """C_v * w**|v| in exact rationals: C_v the exact product of the doubles
+    a (entry 0 unused) along v's root path, w a double or 1."""
+    parent = [int(p) for p in tree.parent]
+    w = Fraction(w)
+    c = [Fraction(1)] * len(parent)
+    for v in range(1, len(parent)):  # a parent's id is smaller than its children's
+        c[v] = c[parent[v]] * Fraction(float(a[v])) * w
+    return c
+
+
+def min_cut_exact(tree, caps):
+    """min over cutsets of the sum of caps, by the leaf-to-root recursion
+    val(v) = min(caps[v], sum of the children's val) vertex by vertex from
+    the last id up, in exact rationals; an extendable vertex is cut at its
+    own edge, dead ends carry nothing.  A cap may be math.inf."""
+    parent = [int(p) for p in tree.parent]
+    below = [Fraction(0)] * len(parent)  # sum of the children's val
+    for v in range(len(parent) - 1, 0, -1):
+        val = caps[v] if tree.extendable[v] else min(caps[v], below[v])
+        below[parent[v]] += val
+    return below[0]
+
+
+def kernel_row_exact(tree, a, v) -> list[Fraction]:
+    """The walk's transition probabilities at v in exact rationals: the
+    exact conductances of the edges at v (C_v above it, none at the root;
+    C_c to each child c, in id order) over their sum."""
+    c = conductances_exact(tree, a)
+    weights = [c[v]] if v else []
+    weights += [c[u] for u in range(len(c)) if u and tree.parent[u] == v]
+    total = sum(weights)
+    return [x / total for x in weights]
 
 
 # ---------------------------------------------------------------------------

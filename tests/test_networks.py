@@ -4,6 +4,7 @@ exhaustive cutset oracle."""
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec, build_truncation, truncate
 from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_conductance,
-                              homogeneous_constant_conductance,
-                              level_conductance_sums, max_flow,
+                              homogeneous_constant_conductance, max_flow,
                               sample_environment, weighted_cut_inf)
 from treelab.branching import cutset_min
 from treelab import networks, rng
@@ -386,6 +386,18 @@ class TestMaxFlow:
             max_flow(t, -np.ones(t.n_vertices))
         with pytest.raises(ValidationError):
             max_flow(t, np.ones(3))
+        caps = np.ones(t.n_vertices)
+        caps[5] = math.nan  # NaN < 0 is False: a sign check alone lets it in
+        with pytest.raises(ValidationError, match="NaN"):
+            max_flow(t, caps)
+
+    def test_depth_zero_rejected(self):
+        # the root is the frontier: there is no cutset
+        t = build_truncation(HOM2, 0)
+        with pytest.raises(ValidationError):
+            max_flow(t, np.ones(1))
+        with pytest.raises(ValidationError):
+            capacity_flow(sample_environment(t, UNIT, 0))
 
 
 class TestWeightedCut:
@@ -416,6 +428,64 @@ class TestWeightedCut:
             weighted_cut_inf(t, env, 1.5)
 
 
+def _assert_exact(value, exact, rel):
+    """`value` within rel of the rational `exact`; below double range it may
+    read a subnormal or 0.0 (0.0 when exact is 0), above it inf."""
+    if exact < sys.float_info.min:
+        assert value < 2 * sys.float_info.min
+        assert value == 0.0 or exact > 0
+    elif value == math.inf:
+        assert exact * (1 + rel) >= sys.float_info.max
+    else:
+        assert abs(Fraction(value) - exact) <= rel * exact
+
+
+class TestExactMinCut:
+    """Every flow is one log-space min-cut; against the exact min-cut in
+    rationals on the doubles A = exp(log A), with log C past +-700 and past
+    double range.  The log C sums round to a few ulps of |log C|."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grounded_env(*_WIDE), st.floats(1e-3, 1.0))
+    def test_flows_match_exact_rationals(self, case, w):
+        env, _ = case
+        tree = env.tree
+        a = np.exp(env.log_a)
+        _assert_exact(capacity_flow(env), oracles.min_cut_exact(
+            tree, oracles.conductances_exact(tree, a)), rel=1e-11)
+        _assert_exact(weighted_cut_inf(tree, env, w), oracles.min_cut_exact(
+            tree, oracles.conductances_exact(tree, a, w)), rel=1e-11)
+        with np.errstate(over="ignore"):
+            caps = np.exp(env.log_c)  # 0.0 and inf past double range
+        exact = [Fraction(c) if c < math.inf else math.inf for c in caps]
+        _assert_exact(max_flow(tree, caps), oracles.min_cut_exact(tree, exact),
+                      rel=1e-11)
+
+    def test_no_clamp_floor(self):
+        # a clamp of log C at -700 would read 2**16 * exp(-700) = 6.46e-300
+        t = build_truncation(HOM2, 16)
+        env = sample_environment(t, Distribution.uniform([1e-20, 1e-19]), 1)
+        exact = oracles.min_cut_exact(t, oracles.conductances_exact(t, np.exp(env.log_a)))
+        flow = capacity_flow(env)
+        assert flow == pytest.approx(1.28e-304, rel=1e-2)
+        _assert_exact(flow, exact, rel=1e-11)
+        # each level down multiplies a cut by at most 2e-19, so the deepest
+        # level is the min-cut for every w <= 1: here 2**-16 times the flow,
+        # a subnormal
+        assert weighted_cut_inf(t, env, 0.5) == pytest.approx(
+            float(exact / 2**16), rel=1e-11, abs=0.0)
+
+    def test_infinite_and_zero_capacities(self):
+        t = build_truncation(HOM2, 2)
+        caps = np.full(t.n_vertices, math.inf)
+        assert max_flow(t, caps) == math.inf
+        caps[1] = 1.0  # vertex 1's subtree is cut at its edge
+        assert max_flow(t, caps) == math.inf
+        caps[2] = 2.0
+        assert max_flow(t, caps) == pytest.approx(3.0, rel=1e-15)
+        assert max_flow(t, np.zeros(t.n_vertices)) == 0.0
+
+
 def _deepest(spec):
     depth = 0
     while True:
@@ -433,8 +503,8 @@ def test_level_sums_match_moment_expectation():
     t = build_truncation(HOM2, 8)
     seeds = 300
     k = 8
-    sums = np.array([level_conductance_sums(
-        sample_environment(t, law, rng.derive(1000, s)))[k - 1]
-        for s in range(seeds)])
+    sums = np.array([np.exp(sample_environment(t, law, rng.derive(1000, s))
+                            .log_c[t.level_slice(k)]).sum()
+                     for s in range(seeds)])
     expect = (2 * law.mean) ** k
     assert abs(sums.mean() - expect) < 3 * sums.std(ddof=1) / math.sqrt(seeds)

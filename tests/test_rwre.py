@@ -1,6 +1,7 @@
 """Regime classification, walk simulation, and the flow fixed point."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from treelab.errors import ResourceCapError, UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution, p_value
 from treelab.trees import TreeSpec, build_truncation
-from treelab.networks import (Environment, conductances, effective_conductance,
-                              max_flow, sample_environment)
+from treelab.networks import (Environment, effective_conductance, max_flow,
+                              sample_environment)
 from treelab.rwre import (CRITERION_BOUNDARY, CRITERION_CUTSET, CRITERION_FAMILY,
                           CRITERION_SUM, CRITERION_TRANSIENT,
                           classify, escape_probability, escape_probability_exact,
                           gw_flow_iterate, simulate_walk, transition_probs)
 from treelab import rng, rwre
 
+import oracles
 from conftest import table_depth
 
 HOM2 = TreeSpec.homogeneous(2)
@@ -170,33 +172,33 @@ class TestTransitionProbs:
         assert probs[1] == pytest.approx(probs[2])
 
 
-# log C values on both sides of the +-700 clamp, including its edges
-_LOG_C = st.one_of(st.floats(-1000.0, 1000.0),
+# log A values on both sides of +-700 and past double range: a row compares
+# only the ratios A_c, so it must stay finite and exact for these too
+_LOG_A = st.one_of(st.floats(-1000.0, 1000.0),
                    st.sampled_from([-800.0, -745.2, -700.0, 0.0, 700.0, 709.9, 800.0]))
 
 
 @st.composite
-def _explicit_env(draw):
+def _explicit_env(draw, log_a_values=_LOG_A):
     n = draw(st.integers(2, 14))
     parents = [draw(st.integers(0, i)) for i in range(n - 1)]
     tree = build_truncation(TreeSpec.explicit(parents), table_depth(parents))
-    log_c = np.array(draw(st.lists(_LOG_C, min_size=n, max_size=n)))
-    log_c[0] = 0.0
-    return Environment(tree=tree, law=Distribution.point(1.0), seed=0,
-                       log_a=np.zeros(n), log_c=log_c)
+    log_a = np.array([0.0] + draw(st.lists(log_a_values, min_size=n - 1,
+                                           max_size=n - 1)))
+    return Environment(tree=tree, law=Distribution.point(1.0), seed=0, log_a=log_a)
 
 
 def _row_from_whole_tree(env, v):
-    """The kernel row read off the conductances of every vertex."""
+    """The kernel row read off the whole-tree log A array."""
     tree = env.tree
-    c = conductances(env)
     kids = tree.children_slice(v)
     kid_ids = np.arange(kids.start, kids.stop, dtype=np.int64)
     if v == 0:
-        ids, weights = kid_ids, c[kid_ids]
+        ids, log_w = kid_ids, env.log_a[kid_ids]
     else:
         ids = np.concatenate(([tree.parent[v]], kid_ids))
-        weights = np.concatenate(([c[v]], c[kid_ids]))
+        log_w = np.concatenate(([0.0], env.log_a[kid_ids]))
+    weights = np.exp(log_w - log_w.max())
     return ids, weights / weights.sum()
 
 
@@ -217,14 +219,16 @@ class TestLocalKernel:
             assert ids.tolist() == ref_ids.tolist()
             assert probs.tobytes() == ref_probs.tobytes()
 
+    # A is a positive double, so log A lies in [-744.4, 709.8]; 700 keeps a
+    # sum of 13 level-1 values in range
     @settings(max_examples=200, deadline=None)
-    @given(_explicit_env())
+    @given(_explicit_env(st.one_of(st.floats(-744.0, 700.0),
+                                   st.sampled_from([-744.0, -700.0, 0.0, 700.0]))))
     def test_escape_exact_matches_whole_tree_bitwise(self, env):
         tree = env.tree
-        c = conductances(env)
         for depth in range(1, tree.truncation_depth + 1):
             g = effective_conductance(tree, env, ground_depth=depth)
-            ref = g / float(c[tree.level_slice(1)].sum())
+            ref = g / float(np.exp(env.log_c[tree.level_slice(1)]).sum())
             assert _bits(escape_probability_exact(env, depth)) == _bits(ref)
 
     @pytest.mark.parametrize("b,law", [
@@ -236,13 +240,62 @@ class TestLocalKernel:
         tree = build_truncation(TreeSpec.homogeneous(b), 3)
         for seed in range(5):
             env = sample_environment(tree, law, seed)
-            c = conductances(env)
             for depth in (1, 2, 3):
                 g = effective_conductance(tree, env, ground_depth=depth)
-                ref = g / float(c[tree.level_slice(1)].sum())
+                ref = g / float(np.exp(env.log_c[tree.level_slice(1)]).sum())
                 assert _bits(escape_probability_exact(env, depth)) == _bits(ref)
 
+    @pytest.mark.parametrize("law", [Distribution.uniform([0.5, 0.75]),
+                                     Distribution.uniform([1e-80, 1e80])])
+    def test_rows_of_unread_environment(self, law):
+        # a row draws only its children: same bits, and nothing else is read
+        tree = build_truncation(HOM2, 8)
+        for seed in range(3):
+            fresh, read = sample_environment(tree, law, seed), sample_environment(tree, law, seed)
+            read.log_c
+            for v in (0, 1, 2, 5, 100, 254):
+                ids, probs = transition_probs(fresh, v)
+                ref_ids, ref_probs = transition_probs(read, v)
+                assert ids.tolist() == ref_ids.tolist()
+                assert probs.tobytes() == ref_probs.tobytes()
+            assert fresh._log_a is None and fresh._log_c is None
 
+    def test_escape_leaves_environment_unread(self):
+        # the walk and the exact value read a few rows and levels 1..6 of a
+        # 2,097,151-vertex environment, never the whole of it
+        tree = build_truncation(HOM2, 20)
+        env = sample_environment(tree, Distribution.uniform([0.5, 0.75]), 4)
+        est = escape_probability(env, 6, 50, 1)
+        assert 0.0 < est.exact < 1.0
+        assert env._log_a is None and env._log_c is None
+
+
+# log A within double range (A a double) on both sides of +-700; the products
+# C leave double range, which the row never forms
+_ROW_LOG_A = st.one_of(st.floats(-709.0, 709.0),
+                       st.sampled_from([-709.0, -700.0, -1.0, 0.0, 1.0, 700.0, 709.0]))
+
+
+class TestExactKernel:
+    """Rows against the exact rationals C / (sum of C) on the doubles
+    A = exp(log A), for C far outside double range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_explicit_env(_ROW_LOG_A))
+    def test_rows_match_exact_rationals(self, env):
+        a = np.exp(env.log_a)
+        for v in range(env.n_vertices):
+            ids, probs = transition_probs(env, v)
+            exact = oracles.kernel_row_exact(env.tree, a, v)
+            assert len(exact) == len(probs)
+            log_w = env.log_a[ids] if v == 0 else np.concatenate(
+                ([0.0], env.log_a[ids[1:]]))
+            # rounding: the shift x - max(x) (relative to |x - max(x)|), exp,
+            # the doubles A themselves, the sum and the division
+            slack = np.abs(log_w - log_w.max()) + len(probs) + 8
+            for p, e, sl in zip(probs, exact, slack):
+                assert abs(Fraction(float(p)) - e) <= e * Fraction(sl) * Fraction(2.0**-53) \
+                    + Fraction(2.0**-1070)
 class TestWalks:
     def test_deterministic(self):
         t = build_truncation(HOM2, 8)
@@ -364,7 +417,7 @@ class TestFlowIteration:
         flows = []
         for seed in range(60):
             env = sample_environment(tree, law, rng.derive(21, seed))
-            flows.append(max_flow(tree, conductances(env)))
+            flows.append(max_flow(tree, np.exp(env.log_c)))
         flows = np.array(flows)
         res = gw_flow_iterate(law, Distribution.point(2.0), 1.0, depth, 60_000, 5)
         tree_se = flows.std(ddof=1) / math.sqrt(len(flows))

@@ -6,12 +6,12 @@ import pytest
 from treelab.errors import ResourceCapError, ValidationError
 from treelab.ratecalc import Distribution
 from treelab.trees import (TreeSpec, build_truncation, contract_k,
-                           extendable_lineage, is_cutset, level_cutset,
-                           level_sizes, load_parent_list, truncate,
-                           validate_tree)
+                           extendable_lineage, level_sizes, load_parent_list,
+                           truncate, validate_tree)
 
 from conftest import random_explicit_spec, table_depth
 import oracles
+from oracles import is_cutset, level_cutset
 
 HOM2 = TreeSpec.homogeneous(2)
 SPINE = TreeSpec.spine_with_leaves()
