@@ -23,8 +23,8 @@ from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
 from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
 from .branching import cutset_min, estimate_branching, growth_rate
-from .networks import (capacity_flow, effective_conductance, sample_environment,
-                       weighted_cut_inf)
+from .networks import (capacity_flow, effective_conductance, prepare_ratio_law,
+                       sample_environment, weighted_cut_inf)
 from .rwre import classify, escape_probability, simulate_walk
 from .fpp import fpp_setup, sample_passage_times
 from .percolation import (proof_percolation_fpp, proof_percolation_rwre,
@@ -211,6 +211,7 @@ def _cmd_conductance(args) -> int:
     spec = _load_spec(args)
     law = Distribution.load(args.dist)
     tree = build_truncation(spec, args.depth)
+    prepare_ratio_law(law)  # before replicate threads share it
 
     def one(i: int) -> dict:
         env = sample_environment(tree, law, rng.derive(args.seed, i))
@@ -228,6 +229,7 @@ def _cmd_flow(args) -> int:
     spec = _load_spec(args)
     law = Distribution.load(args.dist)
     tree = build_truncation(spec, args.depth)
+    prepare_ratio_law(law)  # before replicate threads share it
 
     def one(i: int) -> dict:
         env = sample_environment(tree, law, rng.derive(args.seed, i))
@@ -248,6 +250,7 @@ def _cmd_walk(args) -> int:
     spec = _load_spec(args)
     law = Distribution.load(args.dist)
     tree = build_truncation(spec, args.depth)
+    prepare_ratio_law(law)  # before replicate threads share it
 
     if args.escape_depth is not None:
         def one(i: int) -> dict:
@@ -305,6 +308,11 @@ def _cmd_percolate(args) -> int:
     if args.proof:
         law = Distribution.load(_need(args.dist, "dist"))
         tree = build_truncation(spec, args.depth)
+        # fill the sampling tables before replicate threads share the law
+        if args.proof == "rwre":
+            prepare_ratio_law(law)
+        else:
+            law.image_table()
 
         def one(i: int) -> dict:
             seed = rng.derive(args.seed, i)
@@ -451,6 +459,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seeds", 1) < 1:
+            raise ValidationError("need at least one seed")
         return args.fn(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -182,7 +182,7 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
             [math.log(rate_m(law, float(yy)) * br)
              if rate_m(law, float(yy)) > 0.0 else -math.inf
              for yy in y])
-    law._guide, tree._lineage  # fill both caches before threads share them
+    law.image_table(), tree._lineage  # fill both caches before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate)
 

@@ -9,8 +9,11 @@ products of A leave double range.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
-alone, in doubles, or on log h where an h leaves double range.  Flows are
-min-cuts over sum(C_v), computed on log C by the leaf-to-root DP of
+alone, in doubles, or on log h where an h leaves double range.  Levels are
+drawn straight from the law's image tables (`Distribution.image_table`):
+log A, and for the double path exp(log A), which has the bits of exp taken
+of a stored log A, so no level takes a log or exp pass.  Flows are min-cuts
+over sum(C_v), computed on log C by the leaf-to-root DP of
 `branching.log_min_cut` and exponentiated once, so they are exact over the
 double range: 0.0 means a flow below it, inf one above it.
 
@@ -35,11 +38,26 @@ _TAG_EDGE_VALUES = 0xED6E
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
-def _edge_log_values(law: Distribution, seed: int, ids: np.ndarray,
+def _exp_log(a: np.ndarray) -> np.ndarray:
+    """exp(log A), the double path's ratio: the bits of exp of a stored log A.
+    A itself would differ, since exp(log a) != a for some doubles."""
+    return np.exp(np.log(a))
+
+
+def _edge_log_values(law: Distribution, key: int, ids: range, exp: bool = False,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """log A for the given vertex ids, keyed by (seed, id); into `out` if given."""
-    vals = law.sample_values(rng.derive(seed, _TAG_EDGE_VALUES), ids, out=out)
-    return np.log(vals, out=vals)
+    """log A for the vertex ids, keyed by (key, id), or exp(log A) if `exp`;
+    gathered from the law's image tables, into `out` if given."""
+    return law.sample_values(key, ids, out=out, image=_exp_log if exp else np.log)
+
+
+def prepare_ratio_law(law: Distribution) -> Distribution:
+    """Check that a ratio law has 0 < A < inf and fill the image tables its
+    environments draw from, so that replicate threads can share it."""
+    law.require_positive_finite()
+    for image in (np.log, _exp_log):
+        law.image_table(image)
+    return law
 
 
 class Environment:
@@ -57,6 +75,7 @@ class Environment:
         self.seed = seed
         self._log_a = log_a
         self._log_c = log_c
+        self._key = rng.derive(seed, _TAG_EDGE_VALUES)
 
     @property
     def n_vertices(self) -> int:
@@ -69,8 +88,7 @@ class Environment:
             v = self.tree.n_vertices
             log_a = np.zeros(v)
             if v > 1:
-                _edge_log_values(self.law, self.seed,
-                                 np.arange(1, v, dtype=np.uint64), out=log_a[1:])
+                _edge_log_values(self.law, self._key, range(1, v), out=log_a[1:])
             self._log_a = log_a
         return self._log_a
 
@@ -81,17 +99,18 @@ class Environment:
             self._log_c = self.tree.sweep_down(self.log_a)
         return self._log_c
 
-    def level_log_a(self, k: int) -> np.ndarray:
-        """log A_v over level k >= 1 (see `slice_log_a`)."""
-        return self.slice_log_a(self.tree.level_slice(k))
+    def level_log_a(self, k: int, exp: bool = False) -> np.ndarray:
+        """log A_v over level k >= 1, or exp(log A_v) if `exp` (see
+        `slice_log_a`)."""
+        return self.slice_log_a(self.tree.level_slice(k), exp)
 
-    def slice_log_a(self, sl: slice) -> np.ndarray:
+    def slice_log_a(self, sl: slice, exp: bool = False) -> np.ndarray:
         """log A_v over a slice of non-root ids: a view of `log_a` once it has
-        been read, else drawn for those ids alone with the same values."""
+        been read, else drawn for those ids alone with the same values.  With
+        `exp`, exp(log A_v) in a new array instead."""
         if self._log_a is not None:
-            return self._log_a[sl]
-        return _edge_log_values(self.law, self.seed,
-                                np.arange(sl.start, sl.stop, dtype=np.uint64))
+            return np.exp(self._log_a[sl]) if exp else self._log_a[sl]
+        return _edge_log_values(self.law, self._key, range(sl.start, sl.stop), exp)
 
 
 def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
@@ -102,8 +121,7 @@ def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     are rejected: the regime theory implemented here assumes 0 < A < inf.
     Nothing is drawn until the environment is read.
     """
-    law.require_positive_finite()
-    return Environment(tree, law, seed)
+    return Environment(tree, prepare_ratio_law(law), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +133,22 @@ def _ratio_step(a, s):
     included, over the conductance at the subtree's parent, from the ratio A
     of the top edge and the sum s of the children's h (s = 0: no current).
 
-    Dividing first keeps A * s from overflowing while h is in range.
+    Dividing first keeps A * s from overflowing while h is in range.  On
+    arrays the step works in place, with one temporary: s is overwritten and
+    h is returned in a's storage.
     """
-    return a * (s / (1.0 + s))
+    t = 1.0 + s
+    s /= t
+    a *= s
+    return a
 
 
-def _ratio_recursion(depth: int, log_a, parents, grounded=None) -> float:
+def _ratio_recursion(depth: int, level, parents, grounded=None) -> float:
     """The conductance by h = A * (s / (1 + s)) from level `depth` to the root.
 
-    log_a(k) is log A over level k; parents(k) is, for each vertex of level
-    k, its parent's offset within level k - 1, and that level's size.
+    level(k, exp) is log A over level k, or exp(log A) in a new array when
+    `exp`; parents(k) is, for each vertex of level k, its parent's offset
+    within level k - 1, and that level's size.
     `grounded` masks the level-`depth` vertices joined to ground (None: all).
     The recursion runs in doubles; if an h leaves double range (an underflow
     where current flows, or an overflow), it runs again on log h, accurate
@@ -132,27 +156,29 @@ def _ratio_recursion(depth: int, log_a, parents, grounded=None) -> float:
     double range, and inf a value above it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.exp(log_a(depth))
+        h = level(depth, True)
         if grounded is not None:
             h[~grounded] = 0.0
         for k in range(depth - 1, 0, -1):
             group, m = parents(k + 1)
             s = np.bincount(group, weights=h, minlength=m)
             del group, h  # the child level is not needed while level k is drawn
-            h = _ratio_step(np.exp(log_a(k)), s)
-            if np.count_nonzero(h < _TINY) > np.count_nonzero(s == 0.0):
+            no_current = np.count_nonzero(s == 0.0)
+            h = _ratio_step(level(k, True), s)
+            del s
+            if np.count_nonzero(h < _TINY) > no_current:
                 break  # an h underflowed where current flows
         else:
             g = float(h.sum())
             if math.isfinite(g):
                 return g
-    log_h = log_a(depth)
+    log_h = level(depth, False)
     if grounded is not None:
         log_h = np.where(grounded, log_h, -np.inf)
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(depth - 1, 0, -1):
             group, m = parents(k + 1)
-            log_h = log_a(k) - np.logaddexp(0.0, -group_logsumexp(log_h, group, m))
+            log_h = level(k, False) - np.logaddexp(0.0, -group_logsumexp(log_h, group, m))
         return float(np.exp(group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
 
 
@@ -271,17 +297,17 @@ def homogeneous_conductance(spec: TreeSpec, law: Distribution, depth: int,
     """
     if spec.kind != "homogeneous":
         raise ValidationError("streaming conductance needs a homogeneous spec")
-    law.require_positive_finite()
+    prepare_ratio_law(law)
     b = spec.b
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    offsets = np.cumsum([0] + [b**k for k in range(depth + 1)])
+    offsets = np.cumsum([0] + [b**k for k in range(depth + 1)]).tolist()
+    key = rng.derive(seed, _TAG_EDGE_VALUES)
 
-    def log_a(k: int) -> np.ndarray:
-        return _edge_log_values(law, seed, np.arange(offsets[k], offsets[k + 1],
-                                                     dtype=np.uint64))
+    def level(k: int, exp: bool) -> np.ndarray:
+        return _edge_log_values(law, key, range(offsets[k], offsets[k + 1]), exp)
 
     def parents(k: int) -> tuple[np.ndarray, int]:
         return np.arange(b**k) // b, b**(k - 1)
 
-    return _ratio_recursion(depth, log_a, parents)
+    return _ratio_recursion(depth, level, parents)

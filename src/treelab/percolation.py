@@ -115,7 +115,7 @@ def percolate_sample(tree: Tree, q: float, seed: int) -> PercolationSample:
     v = tree.n_vertices
     open_edges = np.zeros(v, dtype=bool)
     if v > 1:
-        u = rng.uniforms(rng.derive(seed, _TAG_PERC), np.arange(1, v, dtype=np.uint64))
+        u = rng.uniforms(rng.derive(seed, _TAG_PERC), range(1, v))
         open_edges[1:] = u < q
     reached, survived = _propagate(tree, open_edges)
     depths = tree.depth[reached]

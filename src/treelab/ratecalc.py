@@ -162,10 +162,11 @@ class Distribution:
         With u = m * 2**-53, cw_i <= u exactly when T_i <= m for the integer
         thresholds T_i = ceil(cw_i * 2**53), so `searchsorted(cw, u, "right")`
         is the number of thresholds <= m.  Bucket j of the guide table covers
-        the m whose top `k` bits are j and holds that count at the bucket's
-        first m; `gap` is the most thresholds any bucket contains.  Returns
-        (guide, thresholds, shift, gap) with shift = 53 - k; gap is -1 when
-        no table up to 2**_GUIDE_MAX_BITS buckets has gap <= _GUIDE_MAX_GAP.
+        the m whose top `k` bits are j and holds that count (a support index)
+        at the bucket's first m; `gap` is the most thresholds any bucket
+        contains.  Returns (guide, thresholds, shift, gap) with shift = 53 -
+        k; gap is -1 when no table up to 2**_GUIDE_MAX_BITS buckets has gap
+        <= _GUIDE_MAX_GAP.
         """
         cap = 2.0 ** rng.MANTISSA_BITS
         # Rounding drift can push cumulative weights before the last (pinned
@@ -184,45 +185,71 @@ class Distribution:
             bits += 1
         if gap > _GUIDE_MAX_GAP:
             gap = -1
-        if gap == 0:  # every bucket holds one value: look it up directly
-            guide = self._sorted[0][guide]
         return guide, t, shift, gap
 
-    def sample_values(self, key: int, counters, out=None) -> np.ndarray:
+    @cached_property
+    def _images(self) -> dict:
+        return {}
+
+    def image_table(self, image=None) -> np.ndarray:
+        """image(s) over the sorted support s, or over the guide table when
+        every bucket holds one value (gap 0): the values `sample_values`
+        gathers.  image=None means s itself.  Tables are cached per law and
+        image; call this before threads share the law.
+        """
+        table = self._images.get(image)
+        if table is None:
+            s = self._sorted[0]
+            if image is not None:
+                with np.errstate(over="ignore"):
+                    s = image(s)
+            guide, _, _, gap = self._guide
+            table = self._images[image] = s[guide] if gap == 0 else s
+        return table
+
+    def sample_values(self, key: int, counters, out=None, image=None) -> np.ndarray:
         """Draw i.i.d. values keyed by (key, counter); reproducible, order-free.
 
         The value for counter c is s[searchsorted(cw, uniforms(key, c),
         "right")] over the sorted support s and cumulative weights cw, bit
         for bit; it is computed in integer space by `_guide`, one chunk of
-        mantissas at a time.  `out`, a C-contiguous float64 array of the
-        counters' shape, receives the values instead of a new array.
+        mantissas at a time.  `counters` is a scalar, an array or a step-1
+        range (ids drawn with no id array).  `out`, a C-contiguous float64
+        array of the counters' shape, receives the values instead of a new
+        array.
+
+        `image`, an elementwise numpy function such as `np.log`, returns
+        image(value) instead: a gather from `image_table(image)`, with the
+        same bits as applying it to the drawn array (numpy's elementwise
+        `log` and `exp` give one value for one input wherever it sits).
         """
-        s, _ = self._sorted
-        c = np.asarray(counters, dtype=np.uint64)
+        c, shape = rng.flat_counters(counters)
         if out is None:
-            out = np.empty(c.shape, dtype=np.float64)
-        elif (out.shape != c.shape or out.dtype != np.float64
+            out = np.empty(shape, dtype=np.float64)
+        elif (out.shape != shape or out.dtype != np.float64
               or not out.flags.c_contiguous):
             raise ValueError("out must be a C-contiguous float64 array "
                              "of the counters' shape")
+        vals = self.image_table(image)
         guide, t, shift, gap = self._guide
         flat = out.reshape(-1)
         idx = np.empty(min(flat.size, rng.CHUNK), dtype=np.intp)
         thr = np.empty_like(idx)
-        for sl, m in rng.mantissa_chunks(key, c.reshape(-1)):
+        for sl, m in rng.mantissa_chunks(key, c):
             dst, ix, tx = flat[sl], idx[:len(m)], thr[:len(m)]
             if gap < 0:
-                np.take(s, np.searchsorted(t, m, side="right"), out=dst, mode="clip")
+                np.take(vals, np.searchsorted(t, m, side="right"), out=dst,
+                        mode="clip")
                 continue
             np.right_shift(m, shift, out=ix)
             if gap == 0:
-                np.take(guide, ix, out=dst, mode="clip")
+                np.take(vals, ix, out=dst, mode="clip")
                 continue
             np.take(guide, ix, out=ix, mode="clip")
             for _ in range(gap):
                 np.take(t, ix, out=tx, mode="clip")
                 ix += tx <= m
-            np.take(s, ix, out=dst, mode="clip")
+            np.take(vals, ix, out=dst, mode="clip")
         return out if out.ndim else out[()]
 
     # -- serialization ------------------------------------------------------

@@ -534,14 +534,13 @@ def gw_flow_iterate(law: Distribution, offspring: Distribution, x: float,
     moment = fractional_moment(law, x)
     pop = np.ones(samples)
     result = GwFlowResult(x=x, mean_offspring=m, moment=moment)
-    idx = np.arange(samples, dtype=np.uint64)
     for it in range(1, iters + 1):
         prev_capped = float(np.minimum(pop, 1.0).mean())
         counts = offspring.sample_values(
-            rng.derive(seed, _TAG_GW_COUNT, it), idx).astype(np.int64)
+            rng.derive(seed, _TAG_GW_COUNT, it), range(samples)).astype(np.int64)
         total = int(counts.sum())
         owner = np.repeat(np.arange(samples), counts)
-        draws = np.arange(total, dtype=np.uint64)
+        draws = range(total)
         ratios = law.sample_values(rng.derive(seed, _TAG_GW_RATIO, it), draws)
         picks = (rng.uniforms(rng.derive(seed, _TAG_GW_PICK, it), draws)
                  * samples).astype(np.int64)

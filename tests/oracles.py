@@ -335,6 +335,22 @@ def splitmix_hash(key: int, counters) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def derive_numpy(key: int, *tags: int) -> int:
+    """Subkey derivation k -> fin((k ^ fin(tag)) + golden) per tag, with fin
+    the splitmix64 finalizer, in wrapping numpy uint64 arithmetic."""
+    def fin(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    mask = 0xFFFFFFFFFFFFFFFF
+    k = np.uint64(key & mask)
+    with np.errstate(over="ignore"):
+        for t in tags:
+            k = fin((k ^ fin(np.uint64(t & mask))) + np.uint64(0x9E3779B97F4A7C15))
+    return int(k)
+
+
 def splitmix_uniforms(key: int, counters) -> np.ndarray:
     """Doubles in [0, 1): the top 53 hash bits times 2**-53."""
     return (splitmix_hash(key, counters) >> np.uint64(11)).astype(np.float64) * (2.0**-53)

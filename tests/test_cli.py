@@ -158,6 +158,24 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             main(["tree", "--tree", files["hom2"], "--depth", "3"])
 
+    @pytest.mark.parametrize("argv", [
+        ["conductance", "--dist", "a_law", "--depth", "4"],
+        ["flow", "--dist", "a_law", "--depth", "4"],
+        ["walk", "--dist", "a_law", "--depth", "4", "--escape-depth", "2"],
+        ["walk", "--dist", "a_law", "--depth", "4", "--steps", "10"],
+        ["fpp", "--dist", "x_law", "--depth", "4", "--ygrid", "0.5"],
+        ["percolate", "--proof", "rwre", "--dist", "a_law", "--depth", "4"],
+        ["percolate", "--proof", "fpp", "--dist", "x_law", "--depth", "4"],
+    ], ids=["conductance", "flow", "walk-escape", "walk-steps", "fpp",
+            "proof-rwre", "proof-fpp"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_config_error(self, files, capsys, argv, seeds):
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv + ["--tree", files["hom2"], "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: need at least one seed\n"
+        assert captured.out == ""
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -252,6 +270,31 @@ class TestDeterminism:
                             "--depth", "6", "--seeds", "4",
                             "--workers", "3"]) == 0
         assert calls == [(4, 3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--tree", "hom2", "--depth", "8", "--branching"],
+    ["rate", "--dist", "a_law", "--op", "dual"],
+    ["classify", "--tree", "hom2", "--dist", "a_law", "--depth", "8"],
+    ["flow", "--tree", "hom2", "--dist", "a_law", "--depth", "8", "--seeds", "5"],
+    ["walk", "--tree", "hom2", "--dist", "a_law", "--depth", "8",
+     "--escape-depth", "4", "--trials", "50", "--seeds", "4"],
+    ["walk", "--tree", "hom2", "--dist", "a_law", "--depth", "8",
+     "--steps", "300", "--seeds", "4"],
+    ["percolate", "--tree", "hom2", "--q", "0.6:0.8:0.1", "--depth", "8",
+     "--trials", "40"],
+], ids=["tree-branching", "rate", "classify", "flow", "walk-escape",
+        "walk-steps", "percolate-trials"])
+def test_workers_do_not_change_json(files, tmp_path, argv):
+    """Every subcommand that accepts --workers, including those that ignore it."""
+    argv = [files.get(a, a) for a in argv]
+    outs = []
+    for workers in ("1", "3"):
+        path = tmp_path / f"out_{workers}.json"
+        assert main(argv + ["--seed", "11", "--workers", workers,
+                            "--format", "json", "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # a complete binary tree of depth 6 as a literal parent table

@@ -214,6 +214,33 @@ class TestRatioRecursion:
             assert _bits(homogeneous_conductance(spec, law, depth, seed)) == \
                 _bits(effective_conductance(t, env))
 
+    def test_law_where_exp_log_is_not_identity(self):
+        # the double path runs on exp(log A), which is not A for 0.1 and 0.35:
+        # drawn from the image table (unread environment) or computed from a
+        # stored log A (read environment), the bits are the same
+        law = Distribution.uniform([0.1, 0.35, 1.9])
+        support = np.array(law.support)
+        assert np.count_nonzero(np.exp(np.log(support)) != support) == 2
+        t = build_truncation(HOM2, 9)
+        for seed in range(4):
+            env = sample_environment(t, law, seed)
+            g = effective_conductance(t, env)
+            assert _bits(g) == _bits(homogeneous_conductance(HOM2, law, 9, seed))
+            assert _bits(effective_conductance(t, env)) == _bits(g)  # now read
+            exact = oracles.conductance_exact(t, np.exp(env.log_a), t.extendable)
+            assert g == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    def test_in_place_step_is_the_formula(self):
+        gen = np.random.default_rng(4)
+        s = np.concatenate([10.0 ** gen.uniform(-320, 308, 5000),
+                            [0.0, 5e-324, 1.0, np.inf]])
+        a = 10.0 ** gen.uniform(-300, 300, len(s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = a * (s / (1.0 + s))
+            got = networks._ratio_step(a.copy(), s.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert _bits(networks._ratio_step(0.7, 3.0)) == _bits(0.7 * (3.0 / (1.0 + 3.0)))
+
     def test_large_constant_ratio_finite(self):
         # A * s overflowed before the divide: both fast paths gave nan here
         a = 1e200

@@ -1,8 +1,12 @@
 """The keyed hash stream: determinism, splitting, and basic uniformity."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from treelab import rng
+
+import oracles
 
 
 def test_same_key_counter_reproduces():
@@ -40,6 +44,23 @@ def test_derive_splits_streams():
     k12 = rng.derive(base, 1, 2)
     assert len({base, k1, k2, k12}) == 4
     assert rng.derive(base, 1) == k1  # derivation is itself deterministic
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.one_of(st.integers(-2**70, 2**70),
+                          st.sampled_from([0, 1, -1, 2**63, 2**64 - 1, -2**63])),
+                max_size=4))
+def test_derive_matches_numpy_formula(key, tags):
+    assert rng.derive(key, *tags) == oracles.derive_numpy(key, *tags)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("tags", [(), (0,), (2**64 - 1,), (-1,), (-5, 3), (0xED6E, 7, 1)])
+def test_derive_named_keys_and_tags(key, tags):
+    got = rng.derive(key, *tags)
+    assert type(got) is int and 0 <= got < 2**64
+    assert got == oracles.derive_numpy(key, *tags)
 
 
 def test_uniformity_moments():

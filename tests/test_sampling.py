@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treelab import rng, trees
 from treelab.ratecalc import Distribution
@@ -125,6 +125,124 @@ class TestSampleValues:
             got = law.sample_values(4, c)
             assert isinstance(got, np.float64)
             assert got == oracles.sample_by_searchsorted(law, 4, c)
+
+
+def _exp_log(a):
+    return np.exp(np.log(a))
+
+
+@st.composite
+def positive_laws(draw):
+    """The `laws` weights on a log-uniform support in [1e-300, 1e300]."""
+    law = draw(laws())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = np.unique(10.0 ** gen.uniform(-300.0, 300.0, size=len(law.support)))
+    assume(len(support) == len(law.support))
+    return Distribution(tuple(float(v) for v in gen.permutation(support)),
+                        law.weights)
+
+
+def _positive_law(weights) -> Distribution:
+    """Distinct support from 1e-300 to 1e300, shuffled, with the given weights."""
+    support = np.random.default_rng(3).permutation(np.geomspace(1e-300, 1e300,
+                                                                len(weights)))
+    return Distribution(tuple(float(v) for v in support), tuple(weights))
+
+
+# one law per guide-table path: every bucket one value (gap 0), a few steps
+# per bucket (gap > 0), and binary search (gap -1)
+_PATH_WEIGHTS = {
+    "gap0": (0.5, 0.25, 0.25),
+    "gap>0": (0.5, 1e-9, 0.5 - 1e-9),
+    "search": (1.0 - 4095e-12,) + (1e-12,) * 4095,
+}
+
+
+class TestImageTables:
+    """`sample_values(..., image=f)` gathers f over the sorted support: the
+    same bits as f over the drawn values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(positive_laws(), KEYS, counter_arrays())
+    def test_image_draws_match_images_of_draws(self, law, key, c):
+        drawn = law.sample_values(key, c)
+        assert_bits_equal(law.sample_values(key, c, image=np.log), np.log(drawn))
+        assert_bits_equal(law.sample_values(key, c, image=_exp_log),
+                          np.exp(np.log(drawn)))
+
+    @pytest.mark.parametrize("path", sorted(_PATH_WEIGHTS))
+    def test_each_guide_path(self, path):
+        law = _positive_law(_PATH_WEIGHTS[path])
+        gap = law._guide[3]
+        assert {"gap0": gap == 0, "gap>0": gap > 0, "search": gap == -1}[path]
+        c = np.arange(2 * rng.CHUNK + 3, dtype=np.uint64)
+        drawn = law.sample_values(17, c)
+        for image in (np.log, _exp_log):
+            assert_bits_equal(law.sample_values(17, c, image=image), image(drawn))
+            assert_bits_equal(law.sample_values(17, range(len(c)), image=image),
+                              image(drawn))
+
+    def test_tables_are_cached_per_image(self):
+        law = _positive_law((0.3, 0.7))
+        for image in (None, np.log, _exp_log):
+            assert law.image_table(image) is law.image_table(image)
+        assert law.image_table(np.log) is not law.image_table(_exp_log)
+
+    def test_log_and_exp_are_position_independent(self):
+        # the premise of image tables: numpy's log and exp give one value for
+        # one input, alone or at any position of a long (vectorized) array
+        gen = np.random.default_rng(8)
+        vals = np.concatenate([10.0 ** gen.uniform(-300.0, 300.0, 4000),
+                               gen.uniform(0.0, 4.0, 4000),
+                               [5e-324, 2.2250738585072014e-308, 0.1, 0.35, 1.0,
+                                1.7976931348622157e308]])
+        for f in (np.log, _exp_log):
+            alone = np.array([f(np.array([v]))[0] for v in vals])
+            for shift in range(17):  # every value at every SIMD lane offset
+                assert_bits_equal(f(np.roll(vals, shift)), np.roll(alone, shift))
+
+
+# the last two are clamped to 2**64 - n: ranges next to and ending at 2**64
+RANGE_STARTS = (0, 1, 12345, 2**63 - 7, 2**64 - rng.CHUNK - 3, 2**64)
+
+
+class TestRangeCounters:
+    """A step-1 range of counters hashes like the same counters as an array,
+    including ranges that end at 2**64, where (c + 1) * golden wraps."""
+
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
+    @pytest.mark.parametrize("start", RANGE_STARTS)
+    def test_mantissas_and_values(self, n, start):
+        start = min(start, 2**64 - n)
+        ids = range(start, start + n)
+        arr = np.arange(start, start + n, dtype=np.uint64)
+        key = 2**64 - 1 - start % 1000
+        got = [(sl, m.copy()) for sl, m in rng.mantissa_chunks(key, ids)]
+        want = [(sl, m.copy()) for sl, m in rng.mantissa_chunks(key, arr)]
+        assert [sl for sl, _ in got] == [sl for sl, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert_bits_equal(a, b)
+        law = NAMED_LAWS["X32"]
+        assert_bits_equal(law.sample_values(key, ids), law.sample_values(key, arr))
+        assert_bits_equal(rng.uniforms(key, ids), oracles.splitmix_uniforms(key, arr))
+        assert_bits_equal(rng.hash_u64(key, ids), oracles.splitmix_hash(key, arr))
+
+    def test_out_receives_range_draws(self):
+        law = NAMED_LAWS["A2"]
+        out = np.zeros(11)
+        law.sample_values(6, range(1, 12), out=out)
+        assert_bits_equal(out, law.sample_values(6, np.arange(1, 12, dtype=np.uint64)))
+
+    @pytest.mark.parametrize("ids", [range(0, 10, 2), range(10, 0, -1),
+                                     range(-1, 3), range(2**64 - 1, 2**64 + 1)])
+    def test_bad_ranges_rejected(self, ids):
+        with pytest.raises(ValueError):
+            rng.uniforms(1, ids)
+
+    def test_empty_ranges(self):
+        for ids in (range(0), range(5, 5), range(2**64, 2**64)):
+            assert rng.uniforms(1, ids).shape == (0,)
+            assert NAMED_LAWS["A2"].sample_values(1, ids).shape == (0,)
 
 
 def _boundary_mantissas(law: Distribution) -> np.ndarray:
