@@ -45,8 +45,7 @@ def sample_passage_times(tree: Tree, law: Distribution, seed: int) -> PassageSam
     v = tree.n_vertices
     x = np.zeros(v)
     if v > 1:
-        law.sample_values(rng.derive(seed, _TAG_PASSAGE),
-                          np.arange(1, v, dtype=np.uint64), out=x[1:])
+        law.sample_values(rng.derive(seed, _TAG_PASSAGE), range(1, v), out=x[1:])
     return PassageSample(tree=tree, law=law, seed=seed, x=x, s=tree.sweep_down(x))
 
 

@@ -401,7 +401,7 @@ def _build_spine(spec: TreeSpec, depth: int, cap: int) -> Tree:
     return _assemble(levels, depth, ext)
 
 
-def _gw_offspring_counts(spec: TreeSpec, key: int, ids: np.ndarray) -> np.ndarray:
+def _gw_offspring_counts(spec: TreeSpec, key: int, ids: range) -> np.ndarray:
     return spec.offspring.sample_values(key, ids).astype(np.int64)
 
 
@@ -412,8 +412,7 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
     for _ in range(depth):
         if size == 0:
             break  # process died before the window edge
-        ids = np.arange(start, start + size, dtype=np.uint64)
-        counts = _gw_offspring_counts(spec, key, ids)
+        counts = _gw_offspring_counts(spec, key, range(start, start + size))
         total += int(counts.sum())
         _check_cap(total, cap)
         levels.append(np.repeat(np.arange(start, start + size, dtype=np.int64), counts))
@@ -423,8 +422,7 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
     if len(levels) == depth and size > 0:
         # frontier vertices extend iff their (unmaterialized) offspring count is
         # positive, keyed by vertex id like every other draw
-        frontier_ids = np.arange(start, start + size, dtype=np.uint64)
-        ext[start:] = _gw_offspring_counts(spec, key, frontier_ids) > 0
+        ext[start:] = _gw_offspring_counts(spec, key, range(start, start + size)) > 0
     if not levels:
         return Tree(parent=np.array([-1], dtype=np.int64),
                     depth=np.zeros(1, dtype=np.int64),
