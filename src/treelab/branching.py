@@ -19,17 +19,6 @@ from .errors import ValidationError
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
 
 
-class CutsetValue(float):
-    """A float carrying a flag for trees with no extendable frontier."""
-
-    finite_tree: bool
-
-    def __new__(cls, value: float, finite_tree: bool = False):
-        obj = super().__new__(cls, value)
-        obj.finite_tree = finite_tree
-        return obj
-
-
 _LOWEST = np.finfo(np.float64).min  # the most negative double
 
 
@@ -75,16 +64,15 @@ def log_min_cut(tree: Tree, level_log_weight) -> float:
     if n == 0:
         raise ValidationError("a depth-0 truncation has no cutsets")
 
-    sizes = tree.level_sizes()
-
     def alive_only(k: int, vals: np.ndarray) -> np.ndarray:
         live = alive[tree.level_slice(k)]
         return vals if len(vals) == np.count_nonzero(live) else vals[live]
 
-    def alive_parents(k: int) -> np.ndarray:
-        """Level-(k-1) offsets of the parents of level k's alive vertices."""
-        sl = tree.level_slice(k)
-        return alive_only(k, tree.parent[sl] - int(tree.level_offsets[k - 1]))
+    def alive_parents(k: int) -> tuple[np.ndarray, int]:
+        """Level-(k-1) offsets of the parents of level k's alive vertices, and
+        the size of level k - 1."""
+        group, m = tree.level_parents(k)
+        return alive_only(k, group), m
 
     def alive_values(k: int, child_total: np.ndarray) -> np.ndarray:
         """min(own weight, children's total) at level k, alive vertices only."""
@@ -96,7 +84,8 @@ def log_min_cut(tree: Tree, level_log_weight) -> float:
         if n == 1:
             vals = np.full(np.count_nonzero(alive[tree.level_slice(1)]), w_n)
         else:
-            counts = np.bincount(alive_parents(n), minlength=int(sizes[n - 1]))
+            group, m = alive_parents(n)
+            counts = np.bincount(group, minlength=m)
             with np.errstate(divide="ignore"):
                 vals = alive_values(n - 1, w_n + np.log(counts))
         top = n - 2
@@ -104,8 +93,7 @@ def log_min_cut(tree: Tree, level_log_weight) -> float:
         vals = alive_only(n, w_n)
         top = n - 1
     for k in range(top, 0, -1):
-        vals = alive_values(k, group_logsumexp(vals, alive_parents(k + 1),
-                                               int(sizes[k])))
+        vals = alive_values(k, group_logsumexp(vals, *alive_parents(k + 1)))
 
     mx = float(vals.max())
     if mx == -math.inf:
@@ -125,21 +113,15 @@ def log_cutset_min(tree: Tree, lam: float) -> float:
     return log_min_cut(tree, lambda k: -k * log_lam)
 
 
-def cutset_min(tree: Tree, lam: float) -> CutsetValue:
-    """min over cutsets of sum(lam**-|v|), exact, by leaf-to-root DP.
+def cutset_min(tree: Tree, lam: float) -> float:
+    """min over cutsets of sum(lam**-|v|), exact, by leaf-to-root DP:
+    exp of `log_cutset_min`.
 
     Cutsets are antichains separating the root from every extendable frontier
     vertex; dead-end branches impose no constraint.  Trees without any
-    extendable frontier have no constraint at all: the value is 0 and the
-    result's `finite_tree` flag is set.
+    extendable frontier have no constraint at all: the value is 0.
     """
-    alive_root = extendable_lineage(tree)[0]
-    if not alive_root:
-        # keep lambda validation consistent with the log variant
-        if not lam > 0.0:
-            raise ValidationError("lambda must be positive")
-        return CutsetValue(0.0, finite_tree=True)
-    return CutsetValue(math.exp(log_cutset_min(tree, lam)), finite_tree=False)
+    return math.exp(log_cutset_min(tree, lam))
 
 
 @dataclass

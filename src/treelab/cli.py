@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
-                     parse)
+                     jsonable, parse)
 from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
 from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
@@ -42,11 +42,12 @@ EXIT_UNSUPPORTED = 4
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.10g}"
-    return str(v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of the rows, in first-seen order (rows may differ in keys)."""
+    return list(dict.fromkeys(k for r in rows for k in r))
 
 
 def _print_table(rows: list[dict], stream=None) -> None:
@@ -54,7 +55,7 @@ def _print_table(rows: list[dict], stream=None) -> None:
     if not rows:
         print("(no rows)", file=stream)
         return
-    cols = list(rows[0].keys())
+    cols = _columns(rows)
     cells = [[_fmt(r.get(c, "")) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells))
               for i, c in enumerate(cols)]
@@ -66,30 +67,34 @@ def _print_table(rows: list[dict], stream=None) -> None:
 def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=_columns(rows), lineterminator="\n")
         writer.writeheader()
         for r in rows:
             writer.writerow({k: _fmt(v) for k, v in r.items()})
     return buf.getvalue()
 
 
+def _write_json(doc, fh, indent=None) -> None:
+    """Write doc as one strict JSON document (RFC 8259) and a newline:
+    non-finite floats become "inf", "-inf" or "nan" (see `jsonable`)."""
+    fh.write(json.dumps(jsonable(doc), sort_keys=True, indent=indent,
+                        allow_nan=False) + "\n")
+
+
 def _emit(rows: list[dict], summary: dict | None, args) -> None:
     """Human table on stdout; optional CSV/JSON file per --format."""
     _print_table(rows)
-    if summary:
-        for k, v in summary.items():
-            print(f"# {k} = {_fmt(v)}")
+    for k, v in (summary or {}).items():
+        print(f"# {k} = {_fmt(v)}")
     if args.out:
-        if args.format == "csv":
-            payload = _rows_to_csv(rows)
-        else:
-            doc = {"schema": 1, "rows": rows}
-            if summary:
-                doc["summary"] = summary
-            payload = json.dumps(doc, sort_keys=True, default=_fmt) + "\n"
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            if args.format == "csv":
+                fh.write(_rows_to_csv(rows))
+            else:
+                doc = {"schema": 1, "rows": rows}
+                if summary:
+                    doc["summary"] = summary
+                _write_json(doc, fh)
 
 
 def _load_spec(args) -> TreeSpec:
@@ -141,7 +146,7 @@ def _cmd_tree(args) -> int:
         summary.update({"branching_lo": est.lo, "branching_hi": est.hi,
                         "branching_inconclusive": est.inconclusive})
     if args.cutset_lambda is not None:
-        summary["cutset_min"] = float(cutset_min(tree, args.cutset_lambda))
+        summary["cutset_min"] = cutset_min(tree, args.cutset_lambda)
     _emit(rows, summary, args)
     return EXIT_OK
 
@@ -199,15 +204,16 @@ def _cmd_classify(args) -> int:
     law = Distribution.load(args.dist)
     report = classify(law, spec, args.depth, args.tol)
     doc = report.to_json()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_json(doc, sys.stdout, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(doc, fh, indent=2)
     return EXIT_OK
 
 
-def _cmd_conductance(args) -> int:
+def _per_environment(args, measure) -> list[dict]:
+    """Rows {"replicate": i, **measure(env, i)}, one per environment i of
+    the --tree/--dist pair, drawn with the seed (--seed, i)."""
     spec = _load_spec(args)
     law = Distribution.load(args.dist)
     tree = build_truncation(spec, args.depth)
@@ -215,64 +221,57 @@ def _cmd_conductance(args) -> int:
 
     def one(i: int) -> dict:
         env = sample_environment(tree, law, rng.derive(args.seed, i))
-        g = effective_conductance(tree, env, ground_depth=args.ground_depth)
-        return {"replicate": i, "conductance": g}
+        return {"replicate": i, **measure(env, i)}
 
-    rows = _replicated(one, args.seeds, args.workers)
-    vals = np.array([r["conductance"] for r in rows])
-    _emit(rows, {"mean": float(vals.mean()), "min": float(vals.min()),
-                 "max": float(vals.max())}, args)
+    return _replicated(one, args.seeds, args.workers)
+
+
+def _spread(rows: list[dict], key: str) -> dict:
+    vals = np.array([r[key] for r in rows])
+    return {"mean": float(vals.mean()), "min": float(vals.min()),
+            "max": float(vals.max())}
+
+
+def _cmd_conductance(args) -> int:
+    def measure(env, i: int) -> dict:
+        return {"conductance": effective_conductance(env.tree, env,
+                                                     ground_depth=args.ground_depth)}
+
+    rows = _per_environment(args, measure)
+    _emit(rows, _spread(rows, "conductance"), args)
     return EXIT_OK
 
 
 def _cmd_flow(args) -> int:
-    spec = _load_spec(args)
-    law = Distribution.load(args.dist)
-    tree = build_truncation(spec, args.depth)
-    prepare_ratio_law(law)  # before replicate threads share it
-
-    def one(i: int) -> dict:
-        env = sample_environment(tree, law, rng.derive(args.seed, i))
+    def measure(env, i: int) -> dict:
         if args.w is not None:
-            value = weighted_cut_inf(tree, env, args.w)
-        else:
-            value = capacity_flow(env)
-        return {"replicate": i, "flow": value}
+            return {"flow": weighted_cut_inf(env.tree, env, args.w)}
+        return {"flow": capacity_flow(env)}
 
-    rows = _replicated(one, args.seeds, args.workers)
-    vals = np.array([r["flow"] for r in rows])
-    _emit(rows, {"mean": float(vals.mean()), "min": float(vals.min()),
-                 "max": float(vals.max())}, args)
+    rows = _per_environment(args, measure)
+    _emit(rows, _spread(rows, "flow"), args)
     return EXIT_OK
 
 
 def _cmd_walk(args) -> int:
-    spec = _load_spec(args)
-    law = Distribution.load(args.dist)
-    tree = build_truncation(spec, args.depth)
-    prepare_ratio_law(law)  # before replicate threads share it
-
     if args.escape_depth is not None:
-        def one(i: int) -> dict:
-            env = sample_environment(tree, law, rng.derive(args.seed, i))
+        def escape(env, i: int) -> dict:
             est = escape_probability(env, args.escape_depth, args.trials,
                                      rng.derive(args.seed, i, 1))
-            return {"replicate": i, "estimate": est.probability,
-                    "stderr": est.stderr, "exact": est.exact}
+            return {"estimate": est.probability, "stderr": est.stderr,
+                    "exact": est.exact}
 
-        rows = _replicated(one, args.seeds, args.workers)
-        mean = float(np.mean([r["estimate"] for r in rows]))
-        _emit(rows, {"mean_estimate": mean}, args)
+        rows = _per_environment(args, escape)
+        _emit(rows, {"mean_estimate": float(np.mean([r["estimate"] for r in rows]))},
+              args)
         return EXIT_OK
 
-    def one(i: int) -> dict:
-        env = sample_environment(tree, law, rng.derive(args.seed, i))
+    def walk(env, i: int) -> dict:
         w = simulate_walk(env, args.steps, rng.derive(args.seed, i, 1))
-        return {"replicate": i, "steps_taken": w.steps_taken,
-                "returns_to_root": w.returns_to_root, "max_depth": w.max_depth,
-                "exited": w.exited_truncation}
+        return {"steps_taken": w.steps_taken, "returns_to_root": w.returns_to_root,
+                "max_depth": w.max_depth, "exited": w.exited_truncation}
 
-    rows = _replicated(one, args.seeds, args.workers)
+    rows = _per_environment(args, walk)
     _emit(rows, {"mean_max_depth": float(np.mean([r["max_depth"] for r in rows]))},
           args)
     return EXIT_OK
@@ -295,8 +294,7 @@ def _cmd_fpp(args) -> int:
         for k, v in summary.items():
             print(f"# {k} = {_fmt(v)}")
         with open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True, default=_fmt)
-            fh.write("\n")
+            _write_json(report.to_json(), fh)
         return EXIT_OK
     _emit(rows, summary, args)
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, jsonable
 from .ratecalc import Distribution, m_inverse, rate_m
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage
 from .branching import branching_number, estimate_branching
@@ -98,8 +98,7 @@ def level_profile(sample: PassageSample, n: int, y_grid) -> ProfileStats:
     y = np.asarray(list(y_grid), dtype=np.float64)
     s_level = sample.s[tree.level_slice(n)]
     counts = np.array([(s_level <= yy * n).sum() for yy in y], dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        exponents = np.where(counts > 0, np.log(np.maximum(counts, 1)) / n, -np.inf)
+    exponents = np.where(counts > 0, np.log(np.maximum(counts, 1)) / n, -np.inf)
     return ProfileStats(depth=n, seed=sample.seed, b_n=first_passage_min(sample, n),
                         y=y, counts=counts, exponents=exponents)
 
@@ -128,7 +127,7 @@ class FppReport:
         return [row for p in self.profiles for row in p.rows()]
 
     def to_json(self) -> dict:
-        return {
+        return jsonable({
             "schema": 1,
             "spec": self.spec.to_json(),
             "law": self.law.to_json(),
@@ -144,7 +143,7 @@ class FppReport:
                 if self.profiles and self.profiles[0].predicted_exponents is not None
                 else None),
             "rows": self.rows(),
-        }
+        })
 
 
 def _branching_for(spec: TreeSpec, tree: Tree, *,
@@ -176,11 +175,8 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     br, br_exact = _branching_for(spec, tree, vertex_cap=vertex_cap)
     predicted_rate = m_inverse(law, min(1.0, 1.0 / br))
     y = np.asarray(list(y_grid), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        predicted_exp = np.array(
-            [math.log(rate_m(law, float(yy)) * br)
-             if rate_m(law, float(yy)) > 0.0 else -math.inf
-             for yy in y])
+    predicted_exp = np.array([math.log(m * br) if m > 0.0 else -math.inf
+                              for m in (rate_m(law, float(yy)) for yy in y)])
     law.image_table(), tree._lineage  # fill both caches before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate)

@@ -147,8 +147,7 @@ def _ratio_recursion(depth: int, level, parents, grounded=None) -> float:
     """The conductance by h = A * (s / (1 + s)) from level `depth` to the root.
 
     level(k, exp) is log A over level k, or exp(log A) in a new array when
-    `exp`; parents(k) is, for each vertex of level k, its parent's offset
-    within level k - 1, and that level's size.
+    `exp`; parents(k) is as `Tree.level_parents(k)`.
     `grounded` masks the level-`depth` vertices joined to ground (None: all).
     The recursion runs in doubles; if an h leaves double range (an underflow
     where current flows, or an overflow), it runs again on log h, accurate
@@ -206,12 +205,7 @@ def effective_conductance(tree: Tree, env: Environment,
         if not 1 <= ground_depth <= tree.truncation_depth:
             raise ValidationError("ground_depth must be in 1..truncation_depth")
         depth, grounded = ground_depth, None
-
-    def parents(k: int) -> tuple[np.ndarray, int]:
-        off = tree.level_offsets
-        return tree.parent[tree.level_slice(k)] - off[k - 1], int(off[k] - off[k - 1])
-
-    return _ratio_recursion(depth, env.level_log_a, parents, grounded)
+    return _ratio_recursion(depth, env.level_log_a, tree.level_parents, grounded)
 
 
 # ---------------------------------------------------------------------------

@@ -65,22 +65,13 @@ def survival_probability_tree(tree: Tree, q: float) -> float:
     """The exact survival recursion on a materialized truncation."""
     if not 0.0 <= q <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
-    f = np.zeros(tree.n_vertices)
-    f[tree.extendable] = 1.0
-    n = tree.truncation_depth
-    for k in range(n - 1, -1, -1):
-        sl = tree.level_slice(k)
-        child_sl = tree.level_slice(k + 1)
-        if child_sl.start == child_sl.stop:
-            continue
+    f = tree.extendable.astype(np.float64)
+    for k in range(tree.truncation_depth, 0, -1):
+        group, m = tree.level_parents(k)
         with np.errstate(divide="ignore"):
-            logs = np.log1p(-q * f[child_sl])
-        miss = np.exp(np.bincount(tree.parent[child_sl] - sl.start,
-                                  weights=logs,
-                                  minlength=sl.stop - sl.start))
-        vals = 1.0 - miss
-        keep = ~tree.extendable[sl]
-        f[sl] = np.where(keep, vals, f[sl])
+            logs = np.log1p(-q * f[tree.level_slice(k)])
+        f[tree.level_slice(k - 1)] = 1.0 - np.exp(np.bincount(group, weights=logs,
+                                                              minlength=m))
     return float(f[0])
 
 
@@ -100,11 +91,7 @@ class PercolationSample:
 def _propagate(tree: Tree, open_edges: np.ndarray) -> tuple[np.ndarray, bool]:
     """Vertices joined to the root by open edges (one AND-sweep down the
     levels), and whether an extendable frontier vertex is among them."""
-    reached = np.zeros(tree.n_vertices, dtype=bool)
-    reached[0] = True
-    for k in range(1, tree.truncation_depth + 1):
-        sl = tree.level_slice(k)
-        reached[sl] = open_edges[sl] & reached[tree.parent[sl]]
+    reached = tree.sweep_down(np.concatenate(([True], open_edges[1:])), np.logical_and)
     return reached, bool((reached & tree.extendable).any())
 
 
@@ -188,13 +175,11 @@ def _segment_sums(ctree: Tree, path_sums: np.ndarray) -> np.ndarray:
 def _segment_stats(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
                    combine) -> np.ndarray:
     """Fold a per-vertex value over each contracted edge's k-step segment."""
-    src = ctree.source_vertices
-    out = None
-    cur = src.copy()
-    for _ in range(k):
-        vals = per_vertex[np.maximum(cur, 0)]
-        out = vals if out is None else combine(out, vals)
-        cur = np.where(cur > 0, tree.parent[np.maximum(cur, 0)], -1)
+    cur = ctree.source_vertices
+    out = per_vertex[cur]
+    for _ in range(k - 1):
+        cur = tree.climb(cur)
+        out = combine(out, per_vertex[np.maximum(cur, 0)])
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
-                     parse)
+                     jsonable, parse)
 from . import rng
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
@@ -255,14 +255,7 @@ class Distribution:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(v: float):
-            return "inf" if v == math.inf else v
-
-        return {
-            "schema": 1,
-            "support": [enc(s) for s in self.support],
-            "weights": list(self.weights),
-        }
+        return jsonable({"schema": 1, "support": self.support, "weights": self.weights})
 
     @classmethod
     def from_json(cls, doc: dict) -> "Distribution":
@@ -611,26 +604,17 @@ class RateSummary:
     gamma_table: list[tuple[float, float]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        def clean(v):
-            if v is None:
-                return None
-            if v == -math.inf:
-                return "-inf"
-            if v == math.inf:
-                return "inf"
-            return v
-
-        return {
+        return jsonable({
             "schema": 1,
             "law": self.law.to_json(),
-            "p": clean(self.p),
-            "x_star": clean(self.x_star),
-            "dual": clean(self.dual),
-            "y_star": clean(self.y_star),
-            "m": [[y, m] for y, m in self.m_table],
-            "m_inverse": [[z, clean(y)] for z, y in self.m_inverse_table],
-            "gamma": [[a, clean(g)] for a, g in self.gamma_table],
-        }
+            "p": self.p,
+            "x_star": self.x_star,
+            "dual": self.dual,
+            "y_star": self.y_star,
+            "m": self.m_table,
+            "m_inverse": self.m_inverse_table,
+            "gamma": self.gamma_table,
+        })
 
 
 def summarize(law: Distribution,

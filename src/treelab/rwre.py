@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, jsonable
 from .ratecalc import Distribution, fractional_moment, p_value
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
 from .branching import estimate_branching, log_cutset_min
@@ -68,18 +68,7 @@ class ClassificationReport:
         return 0.5 * (self.branching_lo + self.branching_hi)
 
     def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, (list, tuple)):
-                return [clean(u) for u in v]
-            if isinstance(v, dict):
-                return {k: clean(u) for k, u in v.items()}
-            return v
-
-        return {
+        return jsonable({
             "schema": 1,
             "regime": self.regime,
             "p": self.p,
@@ -88,9 +77,9 @@ class ClassificationReport:
                           "exact": self.branching_exact},
             "criterion": self.criterion,
             "tol": self.tol,
-            "witnesses": clean(self.witnesses),
+            "witnesses": self.witnesses,
             "notes": self.notes,
-        }
+        })
 
 
 def _analytic_level_counts(spec: TreeSpec, depth: int):
@@ -105,11 +94,9 @@ def _analytic_level_counts(spec: TreeSpec, depth: int):
 
 
 def _tree_level_counts(tree: Tree):
-    alive = extendable_lineage(tree)
-    m = tree.level_sizes().astype(np.float64)
-    ext = np.array([float(alive[tree.level_slice(k)].sum())
-                    for k in range(tree.truncation_depth + 1)])
-    return m, ext
+    ext = np.bincount(tree.depth, weights=extendable_lineage(tree),
+                      minlength=tree.truncation_depth + 1)
+    return tree.level_sizes().astype(np.float64), ext
 
 
 def _sum_evidence(m_counts: np.ndarray, p: float) -> dict:
@@ -197,6 +184,13 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
     p, x_star = p_value(law)
     witnesses: dict = {"p": p}
 
+    def report(regime: str, criterion: str, notes: str = "") -> ClassificationReport:
+        """The verdict, with the branching values bound below at call time."""
+        return ClassificationReport(
+            regime=regime, p=p, x_star=x_star, branching_lo=br_lo,
+            branching_hi=br_hi, branching_exact=br_exact is not None,
+            criterion=criterion, tol=tol, witnesses=witnesses, notes=notes)
+
     if spec.kind == "galton_watson":
         m = spec.offspring.mean
         if m <= 1.0:
@@ -212,10 +206,8 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
         else:
             regime = "Recurrent"
             witnesses["boundary"] = True
-        return ClassificationReport(
-            regime=regime, p=p, x_star=x_star, branching_lo=m, branching_hi=m,
-            branching_exact=True, criterion=CRITERION_FAMILY, tol=tol,
-            witnesses=witnesses)
+        br_lo = br_hi = br_exact = m
+        return report(regime, CRITERION_FAMILY)
 
     analytic = _analytic_level_counts(spec, depth)
     tree = None
@@ -248,27 +240,15 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
 
     if sum_ev["converges"]:
         if transient_by_product:
-            return ClassificationReport(
-                regime="Inconclusive", p=p, x_star=x_star, branching_lo=br_lo,
-                branching_hi=br_hi, branching_exact=br_exact is not None,
-                criterion=CRITERION_NONE, tol=tol, witnesses=witnesses,
-                notes="sum test converges yet p*br exceeds 1")
-        return ClassificationReport(
-            regime="PositiveRecurrent", p=p, x_star=x_star, branching_lo=br_lo,
-            branching_hi=br_hi, branching_exact=br_exact is not None,
-            criterion=CRITERION_SUM, tol=tol, witnesses=witnesses)
+            return report("Inconclusive", CRITERION_NONE,
+                          "sum test converges yet p*br exceeds 1")
+        return report("PositiveRecurrent", CRITERION_SUM)
 
     if transient_by_product:
         if cut_ev["decays"]:
-            return ClassificationReport(
-                regime="Inconclusive", p=p, x_star=x_star, branching_lo=br_lo,
-                branching_hi=br_hi, branching_exact=br_exact is not None,
-                criterion=CRITERION_NONE, tol=tol, witnesses=witnesses,
-                notes="cutset sums vanish yet p*br exceeds 1")
-        return ClassificationReport(
-            regime="Transient", p=p, x_star=x_star, branching_lo=br_lo,
-            branching_hi=br_hi, branching_exact=br_exact is not None,
-            criterion=CRITERION_TRANSIENT, tol=tol, witnesses=witnesses)
+            return report("Inconclusive", CRITERION_NONE,
+                          "cutset sums vanish yet p*br exceeds 1")
+        return report("Transient", CRITERION_TRANSIENT)
 
     # witnessed cutset decay certifies recurrence on its own, even when the
     # product sits inside the boundary band (the criterion quantifies over
@@ -277,10 +257,7 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
         notes = "" if cut_ev["decays"] else (
             "p*br < 1 guarantees vanishing cutset sums; decay not yet visible "
             "at this horizon")
-        return ClassificationReport(
-            regime="Recurrent", p=p, x_star=x_star, branching_lo=br_lo,
-            branching_hi=br_hi, branching_exact=br_exact is not None,
-            criterion=CRITERION_CUTSET, tol=tol, witnesses=witnesses, notes=notes)
+        return report("Recurrent", CRITERION_CUTSET, notes)
 
     if on_boundary:
         notes = ""
@@ -288,22 +265,12 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
             notes = ("bounded level-cutset sums certify recurrence for this "
                      "instance, though the product criterion alone is silent "
                      "on the boundary")
-        return ClassificationReport(
-            regime="Boundary", p=p, x_star=x_star, branching_lo=br_lo,
-            branching_hi=br_hi, branching_exact=br_exact is not None,
-            criterion=CRITERION_BOUNDARY, tol=tol, witnesses=witnesses,
-            notes=notes)
+        return report("Boundary", CRITERION_BOUNDARY, notes)
 
     if bnd_ev["bounded"]:
-        return ClassificationReport(
-            regime="Recurrent", p=p, x_star=x_star, branching_lo=br_lo,
-            branching_hi=br_hi, branching_exact=br_exact is not None,
-            criterion=CRITERION_BOUNDED, tol=tol, witnesses=witnesses)
+        return report("Recurrent", CRITERION_BOUNDED)
 
-    return ClassificationReport(
-        regime="Inconclusive", p=p, x_star=x_star, branching_lo=br_lo,
-        branching_hi=br_hi, branching_exact=br_exact is not None,
-        criterion=CRITERION_NONE, tol=tol, witnesses=witnesses)
+    return report("Inconclusive", CRITERION_NONE)
 
 
 # ---------------------------------------------------------------------------

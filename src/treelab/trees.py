@@ -266,22 +266,33 @@ class Tree:
         hi = int(np.searchsorted(seg, v, side="right")) + sl.start
         return slice(lo, hi)
 
-    def sweep_down(self, edge_vals: np.ndarray) -> np.ndarray:
-        """Root-path sums: out[v] = edge_vals[v] + out[parent(v)], with
-        out[v] = edge_vals[v] on levels 0 and 1 (the root has no edge).
+    def level_parents(self, k: int) -> tuple[np.ndarray, int]:
+        """For each vertex of level k >= 1, its parent's offset within level
+        k - 1; and the size of level k - 1."""
+        off = self.level_offsets
+        return self.parent[self.level_slice(k)] - off[k - 1], int(off[k] - off[k - 1])
+
+    def climb(self, ids: np.ndarray) -> np.ndarray:
+        """The parents of `ids`: -1 for the root, and for -1 (past the root)."""
+        return np.where(ids > 0, self.parent[ids], -1)
+
+    def sweep_down(self, vals: np.ndarray, op=np.add) -> np.ndarray:
+        """Root-path folds in the dtype of `vals`: out[v] = op(vals[v],
+        out[parent(v)]), with out[v] = vals[v] on levels 0 and 1 (the root
+        has no edge).  With np.add these are root-path sums.
 
         Levels go top-down; parents are gathered a chunk at a time into one
         reused buffer, so no level-size temporary is built.
         """
-        out = np.array(edge_vals, dtype=np.float64)
-        buf = np.empty(min(_SWEEP_CHUNK, self.n_vertices))
+        out = np.array(vals)
+        buf = np.empty(min(_SWEEP_CHUNK, self.n_vertices), dtype=out.dtype)
         for k in range(2, self.truncation_depth + 1):
             sl = self.level_slice(k)
             for lo in range(sl.start, sl.stop, _SWEEP_CHUNK):
                 hi = min(lo + _SWEEP_CHUNK, sl.stop)
                 b = buf[:hi - lo]
                 np.take(out, self.parent[lo:hi], out=b)
-                out[lo:hi] += b
+                op(out[lo:hi], b, out=out[lo:hi])
         return out
 
     @cached_property
@@ -289,15 +300,9 @@ class Tree:
         """The `extendable_lineage` mask, by one leaf-to-root sweep."""
         alive = self.extendable.copy()
         for k in range(self.truncation_depth, 0, -1):
-            sl = self.level_slice(k)
-            if sl.start == sl.stop:
-                continue
-            off = self.level_offsets[k - 1]
-            counts = np.bincount(self.parent[sl] - off,
-                                 weights=alive[sl].astype(np.float64),
-                                 minlength=int(self.level_offsets[k] - off))
-            prev = self.level_slice(k - 1)
-            alive[prev] |= counts > 0
+            group, m = self.level_parents(k)
+            counts = np.bincount(group, weights=alive[self.level_slice(k)], minlength=m)
+            alive[self.level_slice(k - 1)] |= counts > 0
         alive.setflags(write=False)
         return alive
 
@@ -336,10 +341,9 @@ def validate_tree(tree: Tree) -> None:
             raise ValidationError("each non-root parent id must precede the vertex")
         if np.any(tree.depth[1:] != tree.depth[p] + 1):
             raise ValidationError("depth must be parent depth + 1")
-        for k in range(1, tree.truncation_depth + 1):
-            seg = tree.parent[tree.level_slice(k)]
-            if np.any(np.diff(seg) < 0):
-                raise ValidationError("children of a level must be grouped by parent")
+        # with depths sorted, this is the grouping within every level
+        if np.any(np.diff(p) < 0):
+            raise ValidationError("children of a level must be grouped by parent")
     if int(tree.depth[-1]) > tree.truncation_depth:
         raise ValidationError("vertices deeper than the truncation depth")
     if tree.extendable[tree.depth < tree.truncation_depth].any():
@@ -379,11 +383,6 @@ def _build_homogeneous(b: int, depth: int, cap: int) -> Tree:
 
 
 def _build_spine(spec: TreeSpec, depth: int, cap: int) -> Tree:
-    if depth == 0:
-        return Tree(parent=np.array([-1], dtype=np.int64),
-                    depth=np.zeros(1, dtype=np.int64),
-                    extendable=np.ones(1, dtype=bool),
-                    truncation_depth=0)._freeze()
     sizes = [1]
     for k in range(depth):
         sizes.append(1 + spec.leaf_count_at(k))
@@ -423,11 +422,6 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
         # frontier vertices extend iff their (unmaterialized) offspring count is
         # positive, keyed by vertex id like every other draw
         ext[start:] = _gw_offspring_counts(spec, key, range(start, start + size)) > 0
-    if not levels:
-        return Tree(parent=np.array([-1], dtype=np.int64),
-                    depth=np.zeros(1, dtype=np.int64),
-                    extendable=ext[:1].copy(),
-                    truncation_depth=depth)._freeze()
     return _assemble(levels, depth, ext)
 
 
@@ -540,13 +534,8 @@ def truncate(tree: Tree, depth: int) -> Tree:
     cut = int(tree.level_offsets[depth + 1])
     ext = np.zeros(cut, dtype=bool)
     sl = tree.level_slice(depth)
-    child_sl = tree.level_slice(depth + 1)
-    has_child = np.zeros(cut, dtype=bool)
-    if child_sl.start < child_sl.stop:
-        counts = np.bincount(tree.parent[child_sl] - sl.start,
-                             minlength=sl.stop - sl.start)
-        has_child[sl] = counts > 0
-    ext[sl] = has_child[sl] | tree.extendable[sl]
+    group, m = tree.level_parents(depth + 1)
+    ext[sl] = (np.bincount(group, minlength=m) > 0) | tree.extendable[sl]
     return Tree(parent=tree.parent[:cut], depth=tree.depth[:cut],
                 extendable=ext, truncation_depth=depth)._freeze()
 
@@ -574,9 +563,9 @@ def contract_k(tree: Tree, k: int) -> Tree:
                     source_vertices=np.arange(tree.n_vertices, dtype=np.int64))
     keep = (np.asarray(tree.depth) % k) == 0
     src = np.nonzero(keep)[0].astype(np.int64)
-    anc = src.copy()
+    anc = src
     for _ in range(k):
-        anc = np.where(anc > 0, tree.parent[np.maximum(anc, 0)], -1)
+        anc = tree.climb(anc)
     new_id = np.cumsum(keep) - 1
     parent = np.where(anc >= 0, new_id[np.maximum(anc, 0)], -1).astype(np.int64)
     out = Tree(parent=parent,

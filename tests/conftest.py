@@ -5,7 +5,7 @@ import random
 import pytest
 
 from treelab.ratecalc import Distribution
-from treelab.trees import TreeSpec
+from treelab.trees import TreeSpec, build_truncation, truncate
 
 
 def make_law(*pairs) -> Distribution:
@@ -49,6 +49,21 @@ def table_depth(parents) -> int:
     for par in parents:
         depth.append(depth[par] + 1)
     return max(depth)
+
+
+def assorted_trees(rng: random.Random) -> list:
+    """Random explicit trees, whose short branches are dead ends, each with
+    a shallower truncation; and subcritical family trees, most of which die
+    before their depth."""
+    trees = []
+    for _ in range(15):
+        spec = random_explicit_spec(rng, rng.randint(2, 40))
+        tree = build_truncation(spec, table_depth(spec.parents))
+        trees += [tree, truncate(tree, rng.randint(0, tree.truncation_depth))]
+    offspring = Distribution((0.0, 1.0, 2.0), (0.45, 0.25, 0.3))
+    trees += [build_truncation(TreeSpec.galton_watson(offspring, seed), 6)
+              for seed in range(8)]
+    return trees
 
 
 @pytest.fixture

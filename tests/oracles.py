@@ -376,6 +376,65 @@ def root_path_sums(parent, edge_vals) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Level primitives, vertex by vertex
+# ---------------------------------------------------------------------------
+
+def level_parents_by_search(tree, k: int) -> tuple[list[int], int]:
+    """Each level-k vertex's parent's position among the level-(k-1) ids, by
+    listing the vertices of each depth; and the size of level k - 1."""
+    depth = [int(d) for d in tree.depth]
+    above = [v for v, d in enumerate(depth) if d == k - 1]
+    return [above.index(int(tree.parent[v])) for v, d in enumerate(depth) if d == k], \
+        len(above)
+
+
+def reached_by_loop(parent, open_edges) -> list[bool]:
+    """Vertices joined to the root by open edges (the root's own entry
+    ignored), vertex by vertex in id order."""
+    reached = [True] + [False] * (len(parent) - 1)
+    for v in range(1, len(parent)):
+        reached[v] = bool(open_edges[v]) and reached[int(parent[v])]
+    return reached
+
+
+def survival_by_recursion(tree, q: float) -> float:
+    """f(v) = 1 - exp(sum over children c, in id order, of log1p(-q f(c))),
+    with f = 1 on extendable vertices, one vertex at a time from the last id
+    to the root (a dead end sums nothing: f = 0)."""
+    n = len(tree.parent)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[int(tree.parent[v])].append(v)
+    f = [0.0] * n
+    with np.errstate(divide="ignore"):
+        for v in range(n - 1, -1, -1):
+            if tree.extendable[v]:
+                f[v] = 1.0
+                continue
+            total = 0.0
+            for c in kids[v]:
+                total += float(np.log1p(-q * f[c]))
+            f[v] = float(1.0 - np.exp(total))
+    return f[0]
+
+
+def climb_by_steps(parent, v: int, steps: int) -> int:
+    """The ancestor `steps` levels above v; -1 once the root is passed."""
+    for _ in range(steps):
+        v = int(parent[v]) if v > 0 else -1
+    return v
+
+
+def segment_fold_by_steps(parent, per_vertex, v: int, k: int, combine):
+    """combine folded over per_vertex at v and its k - 1 nearest ancestors
+    (index 0 past the root)."""
+    out = per_vertex[v]
+    for i in range(1, k):
+        out = combine(out, per_vertex[max(climb_by_steps(parent, v, i), 0)])
+    return out
+
+
 def _unxorshift(y: np.ndarray, s: int) -> np.ndarray:
     """Inverse of x -> x ^ (x >> s) on uint64."""
     x = y.copy()

@@ -66,7 +66,7 @@ class TestCutsetMin:
         spec = TreeSpec.explicit([0, 0, 1], extendable=[])
         t = build_truncation(spec, 2)
         v = cutset_min(t, 2.0)
-        assert float(v) == 0.0 and v.finite_tree
+        assert float(v) == 0.0 and not t.has_extendable_frontier
 
     def test_contraction_consistency(self):
         # cutting the squared tree at lambda**2 costs the same as cutting the

@@ -81,6 +81,76 @@ class TestOutputs:
         assert "exact" in out.splitlines()[0]
 
 
+def _strict_json(path):
+    """The document at path, refusing the Infinity, -Infinity and NaN
+    tokens that RFC 8259 does not allow."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("case", ["gamma", "fpp", "proof-depth0", "classify",
+                                      "conductance"])
+    def test_documents_write_non_finite_values_as_strings(self, files, tmp_path,
+                                                          capsys, case):
+        x12 = tmp_path / "x12.json"  # times 1 and 2: no S_v <= n / 2
+        x12.write_text(json.dumps({"schema": 1, "support": [1.0, 2.0],
+                                   "weights": [0.5, 0.5]}))
+        argv, check = {
+            "gamma": (["rate", "--dist", files["x_law"], "--op", "gamma",
+                       "--a", "0.25,1.5"],
+                      lambda doc: doc["rows"][1]["value"] == "-inf"),
+            "fpp": (["fpp", "--tree", files["hom2"], "--dist", str(x12),
+                     "--depth", "6", "--ygrid", "0.5,1.5"],
+                    lambda doc: (doc["rows"][0]["count"] == 0
+                                 and doc["rows"][0]["exponent"] == "-inf"
+                                 and doc["predicted_exponents"][0] == "-inf")),
+            "proof-depth0": (["percolate", "--tree", files["hom2"], "--depth", "0",
+                              "--proof", "rwre", "--dist", files["a_law"]],
+                             lambda doc: (doc["rows"][0]["q_hat"] == "nan"
+                                          and doc["summary"]["mean_q_hat"] == "nan")),
+            "classify": (["classify", "--tree", files["hom2"], "--dist",
+                          files["a_law"]],
+                         lambda doc: doc["regime"] == "Transient"),
+            "conductance": (["conductance", "--tree", files["hom2"], "--dist",
+                             files["a_law"], "--depth", "6", "--seeds", "2"],
+                            lambda doc: len(doc["rows"]) == 2),
+        }[case]
+        out = str(tmp_path / "out.json")
+        assert main(argv + ["--format", "json", "--out", out]) == 0
+        assert check(_strict_json(out))
+
+    def test_law_reads_back_its_own_infinite_atom(self):
+        law = Distribution((0.5, float("inf")), (0.25, 0.75))
+        text = json.dumps(law.to_json(), allow_nan=False)
+        assert json.loads(text)["support"] == [0.5, "inf"]
+        back = Distribution.from_json(json.loads(text))
+        assert back.support == law.support and back.weights == law.weights
+
+
+class TestRateSummaryColumns:
+    ARGV = ["--op", "summary", "--y", "0.2,0.5", "--z", "0.5", "--a", "1.5,3"]
+
+    def test_table_keeps_every_column(self, files, capsys):
+        assert main(["rate", "--dist", files["x_law"]] + self.ARGV) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["op", "value", "arg", "y", "z", "a"]
+        assert lines[-1].split() == ["gamma", "-inf", "3"]
+
+    def test_csv_leaves_missing_cells_blank(self, files, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        assert main(["rate", "--dist", files["x_law"]] + self.ARGV
+                    + ["--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "op,value,arg,y,z,a"
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["p", "dual", "m", "m", "m_inverse", "gamma", "gamma"]
+        assert lines[3] == "m,0.8246924442,,0.2,,"
+        assert lines[-1] == "gamma,-inf,,,,3"
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["rate", "--dist", str(tmp_path / "nope.json")]) == 2

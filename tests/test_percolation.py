@@ -8,14 +8,15 @@ import pytest
 
 from treelab.errors import ValidationError
 from treelab.ratecalc import Distribution, exact_tail
-from treelab.trees import TreeSpec, build_truncation
+from treelab.trees import TreeSpec, build_truncation, contract_k
 from treelab.networks import sample_environment
 from treelab.fpp import sample_passage_times
-from treelab.percolation import (percolate_sample, proof_percolation_fpp,
-                                 proof_percolation_rwre, survival_monte_carlo,
-                                 survival_probability,
+from treelab.percolation import (_segment_stats, percolate_sample,
+                                 proof_percolation_fpp, proof_percolation_rwre,
+                                 survival_monte_carlo, survival_probability,
                                  survival_probability_tree)
 
+from conftest import assorted_trees
 import oracles
 
 HOM2 = TreeSpec.homogeneous(2)
@@ -60,6 +61,34 @@ class TestSurvival:
     def test_q_validation(self):
         with pytest.raises(ValidationError):
             survival_probability(HOM2, 1.5, 4)
+
+
+class TestLevelSweepsAgainstVertexLoops:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
+    def test_survival_recursion(self, seeded_rng, q):
+        for t in assorted_trees(seeded_rng):
+            assert survival_probability_tree(t, q).hex() == \
+                oracles.survival_by_recursion(t, q).hex()
+
+    def test_reached_set(self, seeded_rng):
+        for i, t in enumerate(assorted_trees(seeded_rng)):
+            s = percolate_sample(t, 0.7, i)
+            want = oracles.reached_by_loop(t.parent, s.open_edges)
+            assert s.reached.tolist() == want
+            assert s.survived == any(r and e for r, e in zip(want, t.extendable))
+
+    def test_segment_stats(self, seeded_rng):
+        for t in assorted_trees(seeded_rng):
+            vals = np.array([seeded_rng.uniform(-3, 3) for _ in range(t.n_vertices)])
+            for k in range(1, t.truncation_depth + 1):
+                if t.truncation_depth % k:
+                    continue
+                c = contract_k(t, k)
+                for combine in (np.minimum, np.maximum):
+                    got = _segment_stats(t, c, vals, k, combine)
+                    assert got.tolist() == [
+                        oracles.segment_fold_by_steps(t.parent, vals, int(v), k, combine)
+                        for v in c.source_vertices]
 
 
 class TestPercolateSample:

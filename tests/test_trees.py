@@ -9,7 +9,7 @@ from treelab.trees import (TreeSpec, build_truncation, contract_k,
                            extendable_lineage, level_sizes, load_parent_list,
                            truncate, validate_tree)
 
-from conftest import random_explicit_spec, table_depth
+from conftest import assorted_trees, random_explicit_spec, table_depth
 import oracles
 from oracles import is_cutset, level_cutset
 
@@ -211,6 +211,52 @@ class TestContraction:
     def test_depth_divisibility(self):
         with pytest.raises(ValidationError):
             contract_k(build_truncation(HOM2, 5), 2)
+
+
+class TestLevelVocabulary:
+    def test_level_parents_match_level_search(self, seeded_rng):
+        for t in assorted_trees(seeded_rng):
+            for k in range(1, t.truncation_depth + 1):
+                group, m = t.level_parents(k)
+                want, want_m = oracles.level_parents_by_search(t, k)
+                assert group.dtype == np.int64 and group.tolist() == want
+                assert m == want_m
+
+    def test_climb_matches_step_walk(self, seeded_rng):
+        for t in assorted_trees(seeded_rng):
+            ids = np.arange(-1, t.n_vertices, dtype=np.int64)
+            for steps in range(t.truncation_depth + 2):
+                got = ids
+                for _ in range(steps):
+                    got = t.climb(got)
+                assert got.tolist() == [oracles.climb_by_steps(t.parent, int(v), steps)
+                                        for v in ids]
+
+    def test_and_sweep_matches_vertex_loop(self, seeded_rng, monkeypatch):
+        monkeypatch.setattr("treelab.trees._SWEEP_CHUNK", 3)  # chunks split levels
+        for t in assorted_trees(seeded_rng):
+            open_edges = np.array([seeded_rng.random() < 0.7 for _ in range(t.n_vertices)])
+            open_edges[0] = True
+            reached = t.sweep_down(open_edges, np.logical_and)
+            assert reached.dtype == bool
+            assert reached.tolist() == oracles.reached_by_loop(t.parent, open_edges)
+
+    @pytest.mark.parametrize("spec", [
+        HOM2, SPINE, TreeSpec.spine_with_leaves(0),
+        TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0]), seed=5),
+        TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0]), seed=5,
+                               condition_nonextinct=True),
+        TreeSpec.explicit([0, 0, 1]), TreeSpec.explicit([0, 0, 1], extendable=[])],
+        ids=["hom2", "spine", "ray", "gw", "gw-conditioned", "explicit", "finite"])
+    def test_depth_zero_is_the_one_vertex_tree(self, spec):
+        t = build_truncation(spec, 0)
+        validate_tree(t)
+        assert t.truncation_depth == 0
+        assert t.parent.dtype == t.depth.dtype == np.int64
+        assert t.parent.tolist() == [-1] and t.depth.tolist() == [0]
+        assert t.extendable.dtype == bool and t.extendable.shape == (1,)
+        # the root extends iff the spec's tree goes on below it
+        assert t.extendable[0] == truncate(build_truncation(spec, 1), 0).extendable[0]
 
 
 class TestCutsetHelpers:
