@@ -28,25 +28,44 @@ from . import rng
 _TAG_PASSAGE = 0xF22A
 
 
-@dataclass
 class PassageSample:
-    """Per-edge times and per-vertex root-path sums for one seed."""
+    """Per-vertex root-path sums for one seed, with the per-edge times.
 
-    tree: Tree
-    law: Distribution
-    seed: int
-    x: np.ndarray  # X_v, entry 0 unused (0.0)
-    s: np.ndarray  # S_v = sum of X along the root path; S_root = 0
+    `s` is the only vertex-size array a sample holds: the times are drawn
+    into it and summed in place.  `x` is drawn again from the same keyed
+    counters on first read and then kept.  Reads from several threads at
+    once may each draw an array, with the same values.
+    """
+
+    def __init__(self, tree: Tree, law: Distribution, seed: int, s: np.ndarray):
+        self.tree = tree
+        self.law = law
+        self.seed = seed
+        self.s = s  # S_v = sum of X along the root path; S_root = 0
+        self._x: np.ndarray | None = None
+
+    @property
+    def x(self) -> np.ndarray:
+        """X_v; entry 0 (root) is 0.0 by convention."""
+        if self._x is None:
+            self._x = _draw_times(self.tree, self.law, self.seed)
+        return self._x
+
+
+def _draw_times(tree: Tree, law: Distribution, seed: int) -> np.ndarray:
+    """X_v keyed by (seed, vertex id), with 0.0 at the root."""
+    v = tree.n_vertices
+    x = np.zeros(v)
+    if v > 1:
+        law.sample_values(rng.derive(seed, _TAG_PASSAGE), range(1, v), out=x[1:])
+    return x
 
 
 def sample_passage_times(tree: Tree, law: Distribution, seed: int) -> PassageSample:
     """Draw i.i.d. edge times keyed by (seed, vertex id) and accumulate sums."""
     law.require_x_type()
-    v = tree.n_vertices
-    x = np.zeros(v)
-    if v > 1:
-        law.sample_values(rng.derive(seed, _TAG_PASSAGE), range(1, v), out=x[1:])
-    return PassageSample(tree=tree, law=law, seed=seed, x=x, s=tree.sweep_down(x))
+    s = _draw_times(tree, law, seed)
+    return PassageSample(tree, law, seed, tree.sweep_down(s, out=s))
 
 
 def first_passage_min(sample: PassageSample, n: int) -> float:
@@ -58,7 +77,7 @@ def first_passage_min(sample: PassageSample, n: int) -> float:
     sel = extendable_lineage(tree)[sl]
     if not sel.any():
         raise ValidationError(f"level {n} has no vertices with extendable lineage")
-    return float(sample.s[sl][sel].min()) / n
+    return float(np.min(sample.s[sl], where=sel, initial=np.inf)) / n
 
 
 @dataclass
@@ -97,7 +116,8 @@ def level_profile(sample: PassageSample, n: int, y_grid) -> ProfileStats:
         raise ValidationError("n must be in 1..truncation_depth")
     y = np.asarray(list(y_grid), dtype=np.float64)
     s_level = sample.s[tree.level_slice(n)]
-    counts = np.array([(s_level <= yy * n).sum() for yy in y], dtype=np.int64)
+    counts = np.array([np.count_nonzero(s_level <= yy * n) for yy in y],
+                      dtype=np.int64)
     exponents = np.where(counts > 0, np.log(np.maximum(counts, 1)) / n, -np.inf)
     return ProfileStats(depth=n, seed=sample.seed, b_n=first_passage_min(sample, n),
                         y=y, counts=counts, exponents=exponents)
@@ -172,6 +192,9 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     if seeds < 1:
         raise ValidationError("need at least one seed")
     tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+    if not tree.has_extendable_frontier:
+        # every replicate's B_n would be empty, and the rate needs br > 0
+        raise ValidationError(f"level {depth} has no vertices with extendable lineage")
     br, br_exact = _branching_for(spec, tree, vertex_cap=vertex_cap)
     predicted_rate = m_inverse(law, min(1.0, 1.0 / br))
     y = np.asarray(list(y_grid), dtype=np.float64)

@@ -276,15 +276,23 @@ class Tree:
         """The parents of `ids`: -1 for the root, and for -1 (past the root)."""
         return np.where(ids > 0, self.parent[ids], -1)
 
-    def sweep_down(self, vals: np.ndarray, op=np.add) -> np.ndarray:
+    def sweep_down(self, vals: np.ndarray, op=np.add,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """Root-path folds in the dtype of `vals`: out[v] = op(vals[v],
         out[parent(v)]), with out[v] = vals[v] on levels 0 and 1 (the root
-        has no edge).  With np.add these are root-path sums.
+        has no edge).  With np.add these are root-path sums.  `out`, an
+        array of the shape and dtype of `vals` (`vals` itself folds in
+        place), receives the folds instead of a new array.
 
         Levels go top-down; parents are gathered a chunk at a time into one
         reused buffer, so no level-size temporary is built.
         """
-        out = np.array(vals)
+        if out is None:
+            out = np.array(vals)
+        elif out.shape != vals.shape or out.dtype != vals.dtype:
+            raise ValueError("out must have the shape and dtype of vals")
+        elif out is not vals:
+            np.copyto(out, vals)
         buf = np.empty(min(_SWEEP_CHUNK, self.n_vertices), dtype=out.dtype)
         for k in range(2, self.truncation_depth + 1):
             sl = self.level_slice(k)

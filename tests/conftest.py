@@ -1,11 +1,26 @@
 """Shared constructors for the test suite."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec, build_truncation, truncate
+
+
+# 32 evenly spaced passage times on [0.25, 2.0], weights proportional to
+# 1/(i+1): the wide-support law of the fpp benchmark
+_X32_RAW = [1.0 / (i + 1) for i in range(32)]
+X32 = Distribution(tuple(0.25 + i * 1.75 / 31 for i in range(32)),
+                   tuple(w / math.fsum(_X32_RAW) for w in _X32_RAW))
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def make_law(*pairs) -> Distribution:

@@ -246,6 +246,23 @@ class TestExitCodes:
         assert captured.err == "config error: need at least one seed\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fpp_without_extendable_frontier_is_config_error(self, files, tmp_path,
+                                                             capsys, fmt):
+        # a finite table has no ray, so neither B_n nor its rate m1(1/br) exists
+        spec = tmp_path / "finite.json"
+        spec.write_text(json.dumps({"kind": "explicit",
+                                    "parents": [0, 0, 1, 1, 2, 3, 3, 5],
+                                    "extendable": []}))
+        out_path = tmp_path / f"fpp.{fmt}"
+        assert main(["fpp", "--tree", str(spec), "--dist", files["x_law"],
+                     "--depth", "4", "--ygrid", "0.5", "--format", fmt,
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: level 4 has no vertices with "
+                                "extendable lineage\n")
+        assert captured.out == "" and not out_path.exists()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -6,6 +6,7 @@ or at frequencies frozen from calibration runs noted inline.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from treelab.errors import ValidationError
 from treelab.ratecalc import Distribution, exact_tail_below, rate_m
 from treelab.trees import TreeSpec, build_truncation, extendable_lineage
 from treelab.branching import branching_number
-from treelab.fpp import (first_passage_min, fpp_report, level_profile,
+from treelab.fpp import (first_passage_min, fpp_report, fpp_setup, level_profile,
                          sample_passage_times)
 from treelab.percolation import survival_probability
 from treelab import branching, fpp, rng, trees
+
+from conftest import X32, assert_bits_equal, assorted_trees, random_x_law
+import oracles
 
 HOM2 = TreeSpec.homogeneous(2)
 COIN = Distribution.uniform([0.0, 1.0])
@@ -41,6 +45,78 @@ class TestSampling:
         x = sample_passage_times(t, law, 3).x[1:100_001]
         band = 3 * 0.5 / math.sqrt(len(x))
         assert abs(x.mean() - 1.5) < band
+
+
+class TestOneArraySample:
+    """Times drawn straight into the sums, folded in place, and read back
+    without copies: every result keeps the bits of the separate draw, sweep
+    and masked copy, on trees with dead ends and levels split by chunks."""
+
+    @pytest.fixture
+    def samples(self, seeded_rng, monkeypatch):
+        monkeypatch.setattr(trees, "_SWEEP_CHUNK", 3)
+        out = []
+        for i, tree in enumerate(assorted_trees(seeded_rng)):
+            law = random_x_law(seeded_rng)
+            # the same keyed counters, passed as an id array, not a range
+            x = np.zeros(tree.n_vertices)
+            x[1:] = law.sample_values(
+                rng.derive(i, fpp._TAG_PASSAGE),
+                np.arange(1, tree.n_vertices, dtype=np.uint64))
+            out.append((sample_passage_times(tree, law, i), x))
+        return out
+
+    def test_sums_match_vertex_loop(self, samples):
+        for sample, x in samples:
+            assert_bits_equal(sample.s, oracles.root_path_sums(sample.tree.parent, x))
+
+    def test_times_are_drawn_once_on_first_read(self, samples):
+        for sample, x in samples:
+            first = sample.x
+            assert_bits_equal(first, x)
+            assert sample.x is first
+
+    def test_level_counts_match_full_compare(self, samples):
+        for sample, _ in samples:
+            tree = sample.tree
+            for n in range(1, tree.truncation_depth + 1):
+                s_level = sample.s[tree.level_slice(n)]
+                grid = np.concatenate([np.linspace(-5.0, 5.0, 11), s_level[:2] / n])
+                if not extendable_lineage(tree)[tree.level_slice(n)].any():
+                    with pytest.raises(ValidationError):
+                        level_profile(sample, n, grid)
+                    continue
+                expected = [(s_level <= y * n).sum() for y in grid]
+                assert level_profile(sample, n, grid).counts.tolist() == expected
+
+    def test_minimum_matches_masked_copy(self, samples):
+        for sample, _ in samples:
+            tree = sample.tree
+            for n in range(1, tree.truncation_depth + 1):
+                sl = tree.level_slice(n)
+                sel = extendable_lineage(tree)[sl]
+                if not sel.any():
+                    with pytest.raises(ValidationError):
+                        first_passage_min(sample, n)
+                    continue
+                expected = float(sample.s[sl][sel].min()) / n
+                assert first_passage_min(sample, n).hex() == expected.hex()
+
+    def test_replicate_holds_one_vertex_array(self):
+        # one float array of V entries plus chunk-size buffers; a copy of
+        # X or S held at once with it would pass 2 x 8V bytes
+        depth = 19
+        v = 2 ** (depth + 1) - 1
+        _, replicate = fpp_setup(HOM2, X32, depth, 1, np.arange(0.3, 1.0, 0.05),
+                                 seed=3)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            replicate(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * v
 
 
 class TestFirstPassageMin:
@@ -206,6 +282,18 @@ class TestReport:
         rep = fpp_report(spec, COIN, depth, 2, [0.5], seed=4)
         assert builds == expected
         assert rep.branching == branching_number(spec, max(depth, 4), 0.05).midpoint
+
+    def test_finite_tree_is_rejected_before_any_rate(self, monkeypatch):
+        # no ray: B_n has no vertex and br = 0 leaves m1(1/br) undefined
+        def no_rate(*args):
+            raise AssertionError("a rate was computed")
+
+        monkeypatch.setattr(fpp, "m_inverse", no_rate)
+        monkeypatch.setattr(fpp, "rate_m", no_rate)
+        spec = TreeSpec.explicit([0, 0, 1, 1, 2, 3, 3, 5], extendable=[])
+        with pytest.raises(ValidationError, match="^level 4 has no vertices "
+                                                  "with extendable lineage$"):
+            fpp_report(spec, COIN, 4, 2, [0.5])
 
     def test_spine_rate_prediction(self):
         # branching number 1: the fastest ray travels at the plain mean

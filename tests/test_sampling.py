@@ -10,26 +10,19 @@ from treelab import rng, trees
 from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec, build_truncation
 
-from conftest import random_explicit_spec, table_depth
+from conftest import (X32, assert_bits_equal, assorted_trees,
+                      random_explicit_spec, table_depth)
 import oracles
 
 KEYS = st.integers(min_value=0, max_value=2**64 - 1)
 CHUNK_LENGTHS = (0, 1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1)
 
-_X32_RAW = [1.0 / (i + 1) for i in range(32)]
 NAMED_LAWS = {
-    "X32": Distribution(tuple(0.25 + i * 1.75 / 31 for i in range(32)),
-                        tuple(w / math.fsum(_X32_RAW) for w in _X32_RAW)),
+    "X32": X32,
     "A2": Distribution.uniform([0.5, 0.75]),
     "gw_offspring": Distribution((1.0, 2.0, 3.0), (0.3, 0.4, 0.3)),
     "tiny_atom": Distribution((1.0, 2.0), (1e-12, 1.0 - 1e-12)),
 }
-
-
-def assert_bits_equal(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _law(support_seed: int, weights) -> Distribution:
@@ -316,3 +309,21 @@ class TestSweepDown:
         assert_bits_equal(tree.sweep_down(vals),
                           oracles.root_path_sums(tree.parent, vals))
         assert_bits_equal(vals, before)  # the input is left untouched
+
+    def test_in_place_matches_copy(self, seeded_rng, monkeypatch):
+        monkeypatch.setattr(trees, "_SWEEP_CHUNK", 3)  # chunks split levels
+        for tree in assorted_trees(seeded_rng):
+            vals = np.array([seeded_rng.uniform(-3, 3) for _ in range(tree.n_vertices)])
+            expected = tree.sweep_down(vals)
+            assert tree.sweep_down(vals, out=vals) is vals
+            assert_bits_equal(vals, expected)
+            flags = vals > 0
+            expected = tree.sweep_down(flags, np.logical_and)
+            tree.sweep_down(flags, np.logical_and, out=flags)
+            assert np.array_equal(flags, expected)
+
+    def test_out_must_match_vals(self):
+        tree = build_truncation(TreeSpec.homogeneous(2), 3)
+        vals = np.ones(tree.n_vertices)
+        with pytest.raises(ValueError):
+            tree.sweep_down(vals, out=np.ones(tree.n_vertices, dtype=np.float32))
