@@ -1,10 +1,12 @@
 """Exact moment functionals and large-deviation rate calculus for finite laws.
 
 All laws are finitely supported, so moments and moment generating functions
-are exact weighted sums.  The optimizations behind the phase-transition
-constant, the lower-tail rate, and the upper-tail exponent are all convex
-one-dimensional problems; they are solved by golden-section search with
-expanding brackets, and infima attained only in a limit (at an endpoint of a
+are exact weighted sums.  The phase-transition constant, its dual, the
+lower-tail rate, its inverse, and the upper-tail exponent are Legendre
+transforms of a log moment generating function L, whose derivatives L' and
+L'' are the mean and variance of a tilted law (`_tilted`).  Each one is a
+single root of a monotone function of the tilt, found by safeguarded Newton
+steps (`_root`); infima attained only in a limit (at an endpoint of a
 half-line) are detected analytically and returned exactly.
 
 Conventions for nonnegative laws that may carry atoms at 0 or +inf:
@@ -25,7 +27,6 @@ from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
                      jsonable, parse)
 from . import rng
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 _WEIGHT_TOL = 1e-12
 _CONVOLVE_MERGE_TOL = 1e-12
 _DEFAULT_CONVOLVE_CAP = 1 << 22
@@ -284,60 +285,57 @@ class Distribution:
 
 
 # ---------------------------------------------------------------------------
-# 1-D convex minimization helpers
+# Tilted moments and one safeguarded Newton root
 # ---------------------------------------------------------------------------
 
-def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
-    """Minimize a unimodal f on [lo, hi]; returns (argmin, min).
+def _tilted(s: np.ndarray, log_w: np.ndarray, theta: float) -> tuple[float, float, float]:
+    """(L, L', L'') at theta for L(theta) = log sum w exp(theta s): the log
+    moment generating function and the mean and variance of the law tilted
+    by exp(theta s), computed with a max-shift so no term leaves range."""
+    e = log_w + theta * s
+    m = e.max()
+    q = np.exp(e - m)
+    total = q.sum()
+    mean = float(q @ s / total)
+    return float(m + np.log(total)), mean, float(q @ (s - mean) ** 2 / total)
 
-    Endpoints are checked explicitly so boundary minima are returned exactly.
+
+def _root(f, lo: float, hi: float = math.inf, x0: float = 1.0) -> float:
+    """The root of an increasing f on (lo, hi); f(x) returns (f(x), f'(x)).
+
+    Newton steps from x0, each evaluation narrowing the bracket.  While hi
+    is inf a step may at most double x (so x0 > 0 there); once hi is
+    finite, a step that leaves the bracket is replaced by bisection.  Stops
+    at rounding level: on a zero, on a Newton step that no longer moves x,
+    or on a bracket with no double inside.
     """
-    a, b = lo, hi
-    h = b - a
-    if h <= xtol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    while h > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
+    x = x0
+    while True:
+        v, d = f(x)
+        if v < 0.0:
+            lo = x
+        elif v > 0.0:
+            hi = x
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    x = c if fc <= fd else d
-    fx = min(fc, fd)
-    for e in (lo, hi):
-        fe = f(e)
-        if fe <= fx:
-            x, fx = e, fe
-    return x, fx
+            return x
+        step = x - v / d if d > 0.0 else math.inf
+        if step == x:
+            return x
+        if hi == math.inf:
+            step = min(step, 2.0 * x)
+        elif not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                return x
+        x = step
 
 
-def _expand_right(f, start: float = 1.0, limit: float = 2.0**60) -> float:
-    """Return hi such that a convex f on [0, inf) has its minimum in [0, hi].
-
-    Assumes f(x) -> inf as x -> inf, so doubling terminates.
-    """
-    hi = start
-    while f(hi) < f(hi / 2.0):
-        hi *= 2.0
-        if hi > limit:
-            raise ValidationError("bracket expansion failed; objective not coercive")
-    return hi
-
-
-def _log_sum_exp(terms: np.ndarray) -> float:
-    m = np.max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(terms - m))))
+def _unit_tilt(law: Distribution, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted support as (s - c) / width, and the log weights: the tilt
+    variable of these values is dimensionless, so the Newton start 1 and
+    the doubling are on the law's own scale."""
+    s, w = law._sorted
+    return (s - c) / (s[-1] - s[0]), np.log(w)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +359,17 @@ def fractional_moment(law: Distribution, x: float) -> float:
     return total
 
 
-def _log_moment_positive_part(law: Distribution, x: float) -> float:
-    """log sum over finite positive atoms of w * a**x; -inf if there are none."""
-    terms = [math.log(w) + x * math.log(s)
-             for s, w in zip(law.support, law.weights)
-             if 0.0 < s < math.inf]
-    if not terms:
-        return -math.inf
-    return _log_sum_exp(np.asarray(terms))
+def _log_positive_atoms(law: Distribution) -> tuple[np.ndarray, np.ndarray] | None:
+    """(log a, log w) over the positive atoms of a nonnegative law, whose
+    tilted moments give log E[A**x] = L(x) for x >= 0 (0**x counts as 0);
+    None when an atom sits at +inf."""
+    law.require_a_type()
+    s, w = law._sorted
+    if not s[-1] > 0.0:
+        raise ValidationError("law must satisfy P[A > 0] > 0")
+    if s[-1] == math.inf:
+        return None
+    return np.log(s[s > 0.0]), np.log(w[s > 0.0])
 
 
 def p_value(law: Distribution) -> tuple[float, float]:
@@ -376,58 +377,50 @@ def p_value(law: Distribution) -> tuple[float, float]:
 
     This is the constant whose product with the branching number locates the
     transient/recurrent transition.  For laws with A <= 1 a.s. it equals E[A].
+    The minimizer is the root of the tilted mean L'(x) of log A, or an end
+    of [0, 1] when L' keeps one sign there; the minimum is `fractional_moment`
+    at it, so end values are exact.
     """
-    law.require_a_type()
-    p_pos = sum(w for s, w in zip(law.support, law.weights) if s > 0.0)
-    if p_pos <= 0.0:
-        raise ValidationError("law must satisfy P[A > 0] > 0")
-    if any(s == math.inf for s in law.support):
+    atoms = _log_positive_atoms(law)
+    if atoms is None:
         # E[A**x] is infinite for every x > 0; the minimum sits at x = 0.
-        return p_pos, 0.0
-    x, fx = _golden_min(lambda x: fractional_moment(law, x), 0.0, 1.0)
-    return fx, x
+        return fractional_moment(law, 0.0), 0.0
+
+    def slope(x: float) -> tuple[float, float]:
+        return _tilted(*atoms, x)[1:]
+
+    if slope(1.0)[0] <= 0.0:
+        x = 1.0
+    elif slope(0.0)[0] >= 0.0:
+        x = 0.0
+    else:
+        x = _root(slope, 0.0, 1.0, 0.5)
+    return fractional_moment(law, x), x
 
 
 def dual_p(law: Distribution) -> tuple[float, float]:
     """max over y in (0, 1] of inf over x >= 0 of y**(1-x) * E[A**x].
 
     The conjugate expression for the same constant as `p_value`; the two agree
-    by convex duality.  Returns (value, maximizing y).
+    by convex duality.  Returns (value, maximizing y).  With t = log y the
+    objective is exp psi(t), psi(t) = (1-x)t + L(x) at the inner minimizer
+    x(t), the root of L'(x) = t; psi is concave with slope 1 - x(t), so the
+    maximum over t <= 0 sits where x(t) crosses 1, at t = L'(1), or at t = 0.
     """
-    law.require_a_type()
-    p_pos = sum(w for s, w in zip(law.support, law.weights) if s > 0.0)
-    if p_pos <= 0.0:
-        raise ValidationError("law must satisfy P[A > 0] > 0")
-    if any(s == math.inf for s in law.support):
+    atoms = _log_positive_atoms(law)
+    if atoms is None:
         # Inner objective is infinite for x > 0, so inf sits at x = 0 with
         # value y * P[A > 0]; the outer max is then at y = 1.
-        return p_pos, 1.0
+        return fractional_moment(law, 0.0), 1.0
+    t = min(0.0, _tilted(*atoms, 1.0)[1])
 
-    pos = [(s, w) for s, w in zip(law.support, law.weights) if s > 0.0]
-    a_max = max(s for s, _ in pos)
-    a_min = min(s for s, _ in pos)
+    def slope(x: float) -> tuple[float, float]:
+        _, d1, d2 = _tilted(*atoms, x)
+        return d1 - t, d2
 
-    def log_inner(y: float) -> float:
-        log_y = math.log(y)
-
-        def log_h(x: float) -> float:
-            return (1.0 - x) * log_y + _log_moment_positive_part(law, x)
-
-        if a_max <= y:
-            # h is convex with a finite limit y * P[A == y] at x -> inf,
-            # hence nonincreasing; the infimum is attained in the limit.
-            mass = law.prob(y)
-            return math.log(y * mass) if mass > 0.0 else -math.inf
-        hi = _expand_right(log_h)
-        _, val = _golden_min(log_h, 0.0, hi, xtol=1e-11)
-        return val
-
-    # log of the objective is concave in t = log y; the maximizer satisfies
-    # y* in [a_min, min(1, a_max)], extended slightly on the left for safety.
-    t_hi = min(0.0, math.log(a_max))
-    t_lo = min(math.log(a_min) - 1.0, t_hi - 1.0)
-    t, neg = _golden_min(lambda t: -log_inner(math.exp(t)), t_lo, t_hi, xtol=1e-11)
-    return math.exp(-neg), math.exp(t)
+    # x(t) <= 1 at this t, so a Newton start at 1 brackets it at once
+    x = 0.0 if slope(0.0)[0] >= 0.0 else _root(slope, 0.0)
+    return math.exp((1.0 - x) * t + _tilted(*atoms, x)[0]), math.exp(t)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,9 @@ def rate_m(law: Distribution, y: float) -> float:
 
     Equals 0 below the essential infimum, the mass of the essential infimum
     exactly at it (an infimum attained in the limit x -> -inf), and 1 at or
-    above the mean.
+    above the mean.  In between, log m = L(-t) for the log moment generating
+    function L of (X - y) / w, w the support's width, at the root t > 0 of
+    L'(-t) = 0.
     """
     law.require_x_type()
     lo = law.ess_inf
@@ -449,38 +444,41 @@ def rate_m(law: Distribution, y: float) -> float:
         return 1.0
     if y == lo:
         return law.prob(lo)
+    s, log_w = _unit_tilt(law, y)
 
-    s, w = law._sorted
-    logw = np.log(w)
+    def slope(t: float) -> tuple[float, float]:
+        _, d1, d2 = _tilted(s, log_w, -t)
+        return -d1, d2
 
-    def log_h(neg_x: float) -> float:
-        # parametrized by t = -x >= 0 so the bracket expands rightward
-        return _log_sum_exp(logw + (-neg_x) * (s - y))
-
-    hi = _expand_right(log_h)
-    _, val = _golden_min(log_h, 0.0, hi, xtol=1e-12)
-    return min(1.0, math.exp(val))
+    return min(1.0, math.exp(_tilted(s, log_w, -_root(slope, 0.0))[0]))
 
 
 def m_inverse(law: Distribution, z: float) -> float:
     """Generalized inverse sup{y : m(y) < z} of the lower-tail rate, z in (0, 1].
 
-    Found by bisection on the nondecreasing map y |-> m(y) between the
-    essential infimum (where m jumps from 0) and the mean (where m reaches 1).
-    Agrees with inf{y : m(y) > z} wherever that form is well defined.
+    Equals the essential infimum for z at most its mass (where m jumps from
+    0) and the mean for z = 1.  In between, with L the log moment generating
+    function of (X - ess inf) / w, w the support's width, y = ess inf +
+    w L'(-t) at the root t > 0 of L(-t) + t L'(-t) = log z, whose left side
+    falls with slope -t L''(-t).  Agrees with inf{y : m(y) > z} wherever that
+    form is well defined.
     """
     law.require_x_type()
     if not (0.0 < z <= 1.0):
         raise ValidationError("z must lie in (0, 1]")
-    lo = law.ess_inf - 1.0   # m == 0 here, strictly below z
-    hi = law.mean            # m == 1 here, >= z
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if rate_m(law, mid) < z:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo = law.ess_inf
+    if z <= law.prob(lo):
+        return lo
+    if z == 1.0:
+        return law.mean
+    s, log_w = _unit_tilt(law, lo)
+    log_z = math.log(z)
+
+    def excess(t: float) -> tuple[float, float]:
+        val, d1, d2 = _tilted(s, log_w, -t)
+        return log_z - val - t * d1, t * d2
+
+    return lo + (law.ess_sup - lo) * _tilted(s, log_w, -_root(excess, 0.0))[1]
 
 
 def gamma(law: Distribution, a: float) -> float:
@@ -488,7 +486,9 @@ def gamma(law: Distribution, a: float) -> float:
 
     Equals 0 at or below the mean and -inf above the essential supremum; at
     the essential supremum the infimum is the log-mass there, attained in the
-    limit theta -> inf.
+    limit theta -> inf.  In between it is L(theta) for the log moment
+    generating function L of (X - a) / w, w the support's width, at the root
+    theta > 0 of L'(theta) = 0.
     """
     law.require_x_type()
     if a <= law.mean:
@@ -498,16 +498,12 @@ def gamma(law: Distribution, a: float) -> float:
         return -math.inf
     if a == hi_pt:
         return math.log(law.prob(hi_pt))
+    s, log_w = _unit_tilt(law, a)
 
-    s, w = law._sorted
-    logw = np.log(w)
+    def slope(theta: float) -> tuple[float, float]:
+        return _tilted(s, log_w, theta)[1:]
 
-    def g(theta: float) -> float:
-        return -a * theta + _log_sum_exp(logw + theta * s)
-
-    hi = _expand_right(g)
-    _, val = _golden_min(g, 0.0, hi, xtol=1e-12)
-    return min(0.0, val)
+    return min(0.0, _tilted(s, log_w, _root(slope, 0.0))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,36 @@ class TestExitCodes:
                      "--trials", "10"]) == 3
         assert "resource cap:" in capsys.readouterr().err
 
+    EXTREME_GRIDS = {
+        "across-the-double-range": ([1e-300, 1e300], [
+            "--y=1e-300,1e299,4.9e299", "--z=0.5000001,0.9",
+            "--a=5.1e299,9.99999e299"]),
+        "wide-symmetric": ([-1e6, 1e6], [
+            "--y=-999999.9999999,-1,0", "--z=0.5000000001,1",
+            "--a=1e-9,999999.9999999"]),
+    }
+
+    @pytest.mark.parametrize("law, op", [
+        ("across-the-double-range", op)
+        for op in ("p", "dual", "m", "minv", "gamma", "summary")
+    ] + [("wide-symmetric", op) for op in ("m", "minv", "gamma", "summary")])
+    def test_rate_ops_succeed_on_extreme_laws(self, tmp_path, capsys, law, op):
+        support, grids = self.EXTREME_GRIDS[law]
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"schema": 1, "support": support,
+                                    "weights": [0.5, 0.5]}))
+        assert main(["rate", "--dist", str(path), "--op", op] + grids) == 0
+
+    def test_trapping_walk_reaches_the_step_cap(self, files, tmp_path, capsys):
+        # ratios 1e-80 and 1e80 trap the walker between a vertex and a child
+        trap = tmp_path / "trap.json"
+        trap.write_text(json.dumps({"schema": 1, "support": [1e-80, 1e80],
+                                    "weights": [0.5, 0.5]}))
+        assert main(["walk", "--tree", files["hom2"], "--dist", str(trap),
+                     "--depth", "8", "--escape-depth", "4",
+                     "--trials", "5"]) == 3
+        assert "resource cap:" in capsys.readouterr().err
+
     def test_missing_tree_field_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "no_b.json"
         spec.write_text(json.dumps({"kind": "homogeneous"}))

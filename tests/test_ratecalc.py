@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from treelab.errors import ResourceCapError, ValidationError
-from treelab.ratecalc import (Distribution, dual_p, exact_tail,
+from treelab.ratecalc import (Distribution, _root, dual_p, exact_tail,
                               exact_tail_below, fractional_moment, gamma,
                               m_inverse, p_value, rate_m, summarize)
 
@@ -315,3 +315,123 @@ def test_summary_contains_requested_tables():
     assert len(s.m_table) == 2 and len(s.gamma_table) == 1
     doc = s.to_json()
     assert doc["schema"] == 1 and doc["p"] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# The tilted-moment root: closed-form ends, oracle judges, extreme laws
+# ---------------------------------------------------------------------------
+
+class TestClosedFormEnds:
+    def test_inverse_at_one_of_a_point_mass(self):
+        assert m_inverse(Distribution.point(3.0), 1.0) == 3.0
+
+    def test_inverse_below_the_jump_is_the_essential_infimum(self):
+        assert m_inverse(Distribution.uniform([1.0, 2.0, 3.0]), 1e-300) == 1.0
+
+    def test_inverse_at_one_is_the_mean(self):
+        law = make_law((1.0, 0.25), (2.0, 0.75))
+        assert m_inverse(law, 1.0) == law.mean
+
+    def test_interior_minimizer_to_rounding(self):
+        _, x_star = p_value(QUARTER_TWO)
+        assert abs(x_star - 1.0 / 3.0) <= 1e-12
+
+
+class TestRoot:
+    """`_root` has no iteration cap; these count its evaluations."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    def test_newton_inside_a_bracket(self):
+        f, calls = self.counted(lambda x: (x**3 - 2.0, 3.0 * x * x))
+        assert _root(f, 0.0, 2.0, 0.5) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+        assert len(calls) <= 12
+
+    def test_doubling_while_unbounded(self):
+        # flat to the left of the root, where Newton steps would be huge
+        f, calls = self.counted(lambda x: (math.tanh(x - 50.0),
+                                           1.0 / math.cosh(x - 50.0) ** 2))
+        assert _root(f, 0.0) == pytest.approx(50.0, abs=1e-14)
+        assert max(calls) <= 100.0 and len(calls) <= 30
+
+    def test_bisection_where_the_slope_vanishes(self):
+        f, calls = self.counted(lambda x: (x - 0.3, 0.0))
+        assert _root(f, 0.0, 1.0, 0.5) == pytest.approx(0.3, abs=1e-15)
+        assert len(calls) <= 60
+
+
+class TestAgainstOracles:
+    """Each functional judged by the dense grids of oracles.py, on random laws."""
+
+    def test_inverse_reaches_z(self, seeded_rng):
+        for _ in range(6):
+            law = random_x_law(seeded_rng)
+            w0 = law.prob(law.ess_inf)
+            for f in (0.25, 0.5, 0.75):
+                z = w0 + f * (1.0 - w0)
+                y = m_inverse(law, z)
+                assert oracles.rate_m_grid(law.support, law.weights, y) == \
+                    pytest.approx(z, abs=1e-6)
+
+    def test_rate_and_gamma_match_the_grids(self, seeded_rng):
+        for _ in range(6):
+            law = random_x_law(seeded_rng)
+            lo, mu, hi = law.ess_inf, law.mean, law.ess_sup
+            for f in (0.25, 0.5, 0.75):
+                y = lo + f * (mu - lo)
+                assert rate_m(law, y) == pytest.approx(
+                    oracles.rate_m_grid(law.support, law.weights, y), abs=1e-7)
+                a = mu + f * (hi - mu)
+                assert gamma(law, a) == pytest.approx(
+                    oracles.gamma_grid(law.support, law.weights, a), abs=1e-7)
+
+
+class TestExtremeLaws:
+    """Supports across the double range and targets one rounding step from a
+    jump: every call returns, and no RuntimeWarning (an error under the
+    suite's warning filter) is raised on the way."""
+
+    RATIO_LAWS = (Distribution.uniform([1e-300, 1e300]),
+                  Distribution.uniform([1e-300, 1.0, 1e300]),
+                  make_law((0.0, 0.5), (1e-300, 0.25), (1e300, 0.25)))
+    PASSAGE_LAWS = (Distribution.uniform([1e-300, 1e300]),
+                    Distribution.uniform([-1e6, 1e6]),
+                    make_law((-1e6, 1e-9), (0.0, 1.0 - 2e-9), (1e6, 1e-9)))
+
+    def test_transition_constant(self):
+        for law in self.RATIO_LAWS:
+            p, x_star = p_value(law)
+            d, y_star = dual_p(law)
+            assert 0.0 <= x_star <= 1.0 and 0.0 < y_star <= 1.0
+            assert d == pytest.approx(p, rel=1e-12)
+
+    def test_next_to_the_essential_infimum(self):
+        for law in self.PASSAGE_LAWS:
+            lo = law.ess_inf
+            w0 = law.prob(lo)
+            m = rate_m(law, math.nextafter(lo, math.inf))
+            assert w0 <= m <= w0 * (1.0 + 1e-6)
+            y = m_inverse(law, math.nextafter(w0, 1.0))
+            assert lo <= y <= lo + 1e-6 * (law.ess_sup - lo)
+
+    def test_next_to_the_essential_supremum(self):
+        for law in self.PASSAGE_LAWS:
+            hi = law.ess_sup
+            g = gamma(law, math.nextafter(hi, -math.inf))
+            assert g == pytest.approx(math.log(law.prob(hi)), abs=1e-6)
+
+    def test_next_to_the_mean(self):
+        for law in self.PASSAGE_LAWS:
+            mu = law.mean
+            assert rate_m(law, math.nextafter(mu, -math.inf)) == \
+                pytest.approx(1.0, abs=1e-12)
+            assert gamma(law, math.nextafter(mu, math.inf)) == \
+                pytest.approx(0.0, abs=1e-12)
+            assert m_inverse(law, math.nextafter(1.0, 0.0)) <= mu
