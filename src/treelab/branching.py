@@ -183,15 +183,13 @@ def _check_estimate_args(max_depth: int, tol: float) -> None:
         raise ValidationError("tol must be positive")
 
 
-def branching_number(spec: TreeSpec, max_depth: int, tol: float, *,
-                     vertex_cap: int | None = None) -> BranchingEstimate:
+def branching_number(spec: TreeSpec, max_depth: int, tol: float) -> BranchingEstimate:
     """`estimate_branching` on the spec's depth-`max_depth` truncation.
 
     Arguments are checked before anything is built.
     """
     _check_estimate_args(max_depth, tol)
-    return estimate_branching(build_truncation(spec, max_depth, vertex_cap=vertex_cap),
-                              tol)
+    return estimate_branching(build_truncation(spec, max_depth), tol)
 
 
 def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:

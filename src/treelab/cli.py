@@ -23,8 +23,8 @@ from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
 from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
 from .branching import cutset_min, estimate_branching, growth_rate
-from .networks import (capacity_flow, effective_conductance, prepare_ratio_law,
-                       sample_environment, weighted_cut_inf)
+from .networks import (capacity_flow, effective_conductance, sample_environment,
+                       weighted_cut_inf)
 from .rwre import classify, escape_probability, simulate_walk
 from .fpp import fpp_setup, sample_passage_times
 from .percolation import (proof_percolation_fpp, proof_percolation_rwre,
@@ -211,17 +211,19 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _per_environment(args, measure) -> list[dict]:
-    """Rows {"replicate": i, **measure(env, i)}, one per environment i of
-    the --tree/--dist pair, drawn with the seed (--seed, i)."""
+def _per_replicate(args, draw, measure) -> list[dict]:
+    """Rows {"replicate": i, **measure(sample, i)}, one per replicate i of
+    the --tree/--dist pair, where `draw(tree, law, seed)` (an environment or
+    passage times) makes the sample with the seed (--seed, i).  Each draw
+    checks its law and fills its tables; threads that fill one at once
+    compute equal arrays."""
     spec = _load_spec(args)
-    law = Distribution.load(args.dist)
+    law = Distribution.load(_need(args.dist, "dist"))
     tree = build_truncation(spec, args.depth)
-    prepare_ratio_law(law)  # before replicate threads share it
 
     def one(i: int) -> dict:
-        env = sample_environment(tree, law, rng.derive(args.seed, i))
-        return {"replicate": i, **measure(env, i)}
+        sample = draw(tree, law, rng.derive(args.seed, i))
+        return {"replicate": i, **measure(sample, i)}
 
     return _replicated(one, args.seeds, args.workers)
 
@@ -237,7 +239,7 @@ def _cmd_conductance(args) -> int:
         return {"conductance": effective_conductance(env.tree, env,
                                                      ground_depth=args.ground_depth)}
 
-    rows = _per_environment(args, measure)
+    rows = _per_replicate(args, sample_environment, measure)
     _emit(rows, _spread(rows, "conductance"), args)
     return EXIT_OK
 
@@ -248,7 +250,7 @@ def _cmd_flow(args) -> int:
             return {"flow": weighted_cut_inf(env.tree, env, args.w)}
         return {"flow": capacity_flow(env)}
 
-    rows = _per_environment(args, measure)
+    rows = _per_replicate(args, sample_environment, measure)
     _emit(rows, _spread(rows, "flow"), args)
     return EXIT_OK
 
@@ -261,7 +263,7 @@ def _cmd_walk(args) -> int:
             return {"estimate": est.probability, "stderr": est.stderr,
                     "exact": est.exact}
 
-        rows = _per_environment(args, escape)
+        rows = _per_replicate(args, sample_environment, escape)
         _emit(rows, {"mean_estimate": float(np.mean([r["estimate"] for r in rows]))},
               args)
         return EXIT_OK
@@ -271,7 +273,7 @@ def _cmd_walk(args) -> int:
         return {"steps_taken": w.steps_taken, "returns_to_root": w.returns_to_root,
                 "max_depth": w.max_depth, "exited": w.exited_truncation}
 
-    rows = _per_environment(args, walk)
+    rows = _per_replicate(args, sample_environment, walk)
     _emit(rows, {"mean_max_depth": float(np.mean([r["max_depth"] for r in rows]))},
           args)
     return EXIT_OK
@@ -301,34 +303,22 @@ def _cmd_fpp(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
-    spec = _load_spec(args)
-
     if args.proof:
-        law = Distribution.load(_need(args.dist, "dist"))
-        tree = build_truncation(spec, args.depth)
-        # fill the sampling tables before replicate threads share the law
-        if args.proof == "rwre":
-            prepare_ratio_law(law)
-        else:
-            law.image_table()
-
-        def one(i: int) -> dict:
-            seed = rng.derive(args.seed, i)
+        def measure(sample, i: int) -> dict:
             if args.proof == "rwre":
-                env = sample_environment(tree, law, seed)
-                pp = proof_percolation_rwre(env, args.k, args.y, args.eps)
+                pp = proof_percolation_rwre(sample, args.k, args.y, args.eps)
             else:
-                sample = sample_passage_times(tree, law, seed)
                 pp = proof_percolation_fpp(sample, args.k, args.y, args.bigm)
-            return {"replicate": i, "q_hat": pp.q_hat,
-                    "stderr": pp.q_hat_stderr, "survived": pp.survived,
-                    "edges": pp.n_edges}
+            return {"q_hat": pp.q_hat, "stderr": pp.q_hat_stderr,
+                    "survived": pp.survived, "edges": pp.n_edges}
 
-        rows = _replicated(one, args.seeds, args.workers)
+        draw = sample_environment if args.proof == "rwre" else sample_passage_times
+        rows = _per_replicate(args, draw, measure)
         _emit(rows, {"mean_q_hat": float(np.mean([r["q_hat"] for r in rows]))},
               args)
         return EXIT_OK
 
+    spec = _load_spec(args)
     rows = []
     for q in _grid(args.q):
         row = {"q": q, "depth": args.depth,

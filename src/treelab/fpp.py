@@ -166,8 +166,7 @@ class FppReport:
         })
 
 
-def _branching_for(spec: TreeSpec, tree: Tree, *,
-                   vertex_cap: int | None = None) -> tuple[float, bool]:
+def _branching_for(spec: TreeSpec, tree: Tree) -> tuple[float, bool]:
     """The spec's branching number, else an estimate at depth 4..24 that
     reads `tree` when its depth is in that range."""
     exact = spec.known_branching()
@@ -176,13 +175,12 @@ def _branching_for(spec: TreeSpec, tree: Tree, *,
     if 4 <= tree.truncation_depth <= 24:
         est = estimate_branching(tree, 0.05)
     else:
-        est = branching_number(spec, max(4, min(tree.truncation_depth, 24)), 0.05,
-                               vertex_cap=vertex_cap)
+        est = branching_number(spec, max(4, min(tree.truncation_depth, 24)), 0.05)
     return est.midpoint, False
 
 
 def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
-              y_grid, *, seed: int = 0, vertex_cap: int | None = None
+              y_grid, *, seed: int = 0
               ) -> tuple[FppReport, Callable[[int], ProfileStats]]:
     """The shared part of `fpp_report`: a report with the predictions and no
     profiles yet, and the per-seed step that makes the profile of replicate
@@ -191,11 +189,11 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
-    tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+    tree = build_truncation(spec, depth)
     if not tree.has_extendable_frontier:
         # every replicate's B_n would be empty, and the rate needs br > 0
         raise ValidationError(f"level {depth} has no vertices with extendable lineage")
-    br, br_exact = _branching_for(spec, tree, vertex_cap=vertex_cap)
+    br, br_exact = _branching_for(spec, tree)
     predicted_rate = m_inverse(law, min(1.0, 1.0 / br))
     y = np.asarray(list(y_grid), dtype=np.float64)
     predicted_exp = np.array([math.log(m * br) if m > 0.0 else -math.inf
@@ -215,14 +213,12 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
 
 
 def fpp_report(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
-               y_grid, *, seed: int = 0,
-               vertex_cap: int | None = None) -> FppReport:
+               y_grid, *, seed: int = 0) -> FppReport:
     """Replicated profiles with the transit-rate and exponent predictions.
 
     Replicate i uses the derived seed (seed, i), so reports are reproducible
     and worker-independent.
     """
-    report, replicate = fpp_setup(spec, law, depth, seeds, y_grid, seed=seed,
-                                  vertex_cap=vertex_cap)
+    report, replicate = fpp_setup(spec, law, depth, seeds, y_grid, seed=seed)
     report.profiles = [replicate(i) for i in range(seeds)]
     return report

@@ -9,7 +9,9 @@ products of A leave double range.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
-alone, in doubles, or on log h where an h leaves double range.  Levels are
+alone, in doubles, or on log h where an h leaves double range.  The levels
+come from a built tree or from `trees.HomogeneousLevels`, the b-ary layout
+by arithmetic.  Levels are
 drawn straight from the law's image tables (`Distribution.image_table`):
 log A, and for the double path exp(log A), which has the bits of exp taken
 of a stored log A, so no level takes a log or exp pass.  Flows are min-cuts
@@ -31,7 +33,7 @@ import numpy as np
 from .branching import group_logsumexp, log_min_cut
 from .errors import ValidationError
 from .ratecalc import Distribution
-from .trees import Tree, TreeSpec
+from .trees import HomogeneousLevels, Tree, TreeSpec
 from . import rng
 
 _TAG_EDGE_VALUES = 0xED6E
@@ -51,24 +53,17 @@ def _edge_log_values(law: Distribution, key: int, ids: range, exp: bool = False,
     return law.sample_values(key, ids, out=out, image=_exp_log if exp else np.log)
 
 
-def prepare_ratio_law(law: Distribution) -> Distribution:
-    """Check that a ratio law has 0 < A < inf and fill the image tables its
-    environments draw from, so that replicate threads can share it."""
-    law.require_positive_finite()
-    for image in (np.log, _exp_log):
-        law.image_table(image)
-    return law
-
-
 class Environment:
     """Per-edge log ratios and per-vertex log cumulative conductances.
 
     `log_a` and `log_c` are computed on first read and then kept; arrays
     passed to the constructor are used as given.  Reads from several threads
-    at once may each compute an array, with the same values.
+    at once may each compute an array, with the same values.  `tree` may be
+    a `HomogeneousLevels` for the level reads and `log_a`; `log_c` needs a
+    `Tree`.
     """
 
-    def __init__(self, tree: Tree, law: Distribution, seed: int,
+    def __init__(self, tree: Tree | HomogeneousLevels, law: Distribution, seed: int,
                  log_a: np.ndarray | None = None, log_c: np.ndarray | None = None):
         self.tree = tree
         self.law = law
@@ -113,7 +108,8 @@ class Environment:
         return _edge_log_values(self.law, self._key, range(sl.start, sl.stop), exp)
 
 
-def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
+def sample_environment(tree: Tree | HomogeneousLevels, law: Distribution,
+                       seed: int) -> Environment:
     """The environment of i.i.d. ratios A_v keyed by (seed, vertex id).
 
     Values are independent of traversal order and worker count, and agree on
@@ -121,7 +117,7 @@ def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     are rejected: the regime theory implemented here assumes 0 < A < inf.
     Nothing is drawn until the environment is read.
     """
-    return Environment(tree, prepare_ratio_law(law), seed)
+    return Environment(tree, law.require_positive_finite(), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -143,56 +139,23 @@ def _ratio_step(a, s):
     return a
 
 
-def _ratio_recursion(depth: int, level, parents, grounded=None) -> float:
-    """The conductance by h = A * (s / (1 + s)) from level `depth` to the root.
-
-    level(k, exp) is log A over level k, or exp(log A) in a new array when
-    `exp`; parents(k) is as `Tree.level_parents(k)`.
-    `grounded` masks the level-`depth` vertices joined to ground (None: all).
-    The recursion runs in doubles; if an h leaves double range (an underflow
-    where current flows, or an overflow), it runs again on log h, accurate
-    to a few ulps of |log h|, so 0.0 means no current or a value below
-    double range, and inf a value above it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = level(depth, True)
-        if grounded is not None:
-            h[~grounded] = 0.0
-        for k in range(depth - 1, 0, -1):
-            group, m = parents(k + 1)
-            s = np.bincount(group, weights=h, minlength=m)
-            del group, h  # the child level is not needed while level k is drawn
-            no_current = np.count_nonzero(s == 0.0)
-            h = _ratio_step(level(k, True), s)
-            del s
-            if np.count_nonzero(h < _TINY) > no_current:
-                break  # an h underflowed where current flows
-        else:
-            g = float(h.sum())
-            if math.isfinite(g):
-                return g
-    log_h = level(depth, False)
-    if grounded is not None:
-        log_h = np.where(grounded, log_h, -np.inf)
-    with np.errstate(divide="ignore", over="ignore"):
-        for k in range(depth - 1, 0, -1):
-            group, m = parents(k + 1)
-            log_h = level(k, False) - np.logaddexp(0.0, -group_logsumexp(log_h, group, m))
-        return float(np.exp(group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
-
-
-def effective_conductance(tree: Tree, env: Environment,
+def effective_conductance(tree: Tree | HomogeneousLevels, env: Environment,
                           ground_depth: int | None = None) -> float:
     """Conductance from the root to the grounded frontier, exact for the window.
 
     By default the ground is the extendable frontier, the proxy for infinity;
     pass `ground_depth` to ground every vertex at that depth instead (used by
     the escape-probability identity, where reaching a given depth is the
-    event of interest whether or not the branch continues).
+    event of interest whether or not the branch continues).  `tree` may be a
+    `HomogeneousLevels` grounded at `ground_depth`.
 
-    The ratio recursion reads one level of A at a time and never forms C, so
-    an environment that has not been read stays unread.  0.0 means that no
-    current flows or that the value is below double range.
+    The recursion h = A * (s / (1 + s)) runs from the grounded level to the
+    root, reading one level of A at a time, and never forms C, so an
+    environment that has not been read stays unread.  It runs in doubles; if
+    an h leaves double range (an underflow where current flows, or an
+    overflow), it runs again on log h, accurate to a few ulps of |log h|, so
+    0.0 means no current or a value below double range, and inf a value
+    above it.
     """
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
@@ -205,7 +168,32 @@ def effective_conductance(tree: Tree, env: Environment,
         if not 1 <= ground_depth <= tree.truncation_depth:
             raise ValidationError("ground_depth must be in 1..truncation_depth")
         depth, grounded = ground_depth, None
-    return _ratio_recursion(depth, env.level_log_a, tree.level_parents, grounded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = env.level_log_a(depth, True)
+        if grounded is not None:
+            h[~grounded] = 0.0
+        for k in range(depth - 1, 0, -1):
+            group, m = tree.level_parents(k + 1)
+            s = np.bincount(group, weights=h, minlength=m)
+            del group, h  # the child level is not needed while level k is drawn
+            no_current = np.count_nonzero(s == 0.0)
+            h = _ratio_step(env.level_log_a(k, True), s)
+            del s
+            if np.count_nonzero(h < _TINY) > no_current:
+                break  # an h underflowed where current flows
+        else:
+            g = float(h.sum())
+            if math.isfinite(g):
+                return g
+    log_h = env.level_log_a(depth)
+    if grounded is not None:
+        log_h = np.where(grounded, log_h, -np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(depth - 1, 0, -1):
+            group, m = tree.level_parents(k + 1)
+            log_h = env.level_log_a(k) - np.logaddexp(
+                0.0, -group_logsumexp(log_h, group, m))
+        return float(np.exp(group_logsumexp(log_h, np.zeros(len(log_h), np.intp), 1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +271,14 @@ def homogeneous_conductance(spec: TreeSpec, law: Distribution, depth: int,
                             seed: int) -> float:
     """Exact per-seed conductance of a homogeneous truncation, one level resident.
 
-    The ratio recursion of `effective_conductance` on the same vertex ids and
-    keyed draws, bit for bit, but with no tree: children are consecutive ids,
-    so only two levels of values are held at a time and depths beyond the
-    materialization budget remain reachable when b**depth values fit in
+    `effective_conductance` over `HomogeneousLevels`, on the same vertex ids
+    and keyed draws as the built tree, bit for bit: the environment stays
+    unread, so only two levels of values are held at a time and depths beyond
+    the materialization budget remain reachable when b**depth values fit in
     memory level by level.
     """
     if spec.kind != "homogeneous":
         raise ValidationError("streaming conductance needs a homogeneous spec")
-    prepare_ratio_law(law)
-    b = spec.b
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    offsets = np.cumsum([0] + [b**k for k in range(depth + 1)]).tolist()
-    key = rng.derive(seed, _TAG_EDGE_VALUES)
-
-    def level(k: int, exp: bool) -> np.ndarray:
-        return _edge_log_values(law, key, range(offsets[k], offsets[k + 1]), exp)
-
-    def parents(k: int) -> tuple[np.ndarray, int]:
-        return np.arange(b**k) // b, b**(k - 1)
-
-    return _ratio_recursion(depth, level, parents)
+    levels = HomogeneousLevels(spec.b, depth)
+    return effective_conductance(levels, sample_environment(levels, law, seed),
+                                 ground_depth=depth)

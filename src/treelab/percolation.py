@@ -38,8 +38,7 @@ def _survival_scalar_homogeneous(b: int, q: float, depth: int) -> float:
     return f
 
 
-def survival_probability(spec: TreeSpec, q: float, depth: int, *,
-                         vertex_cap: int | None = None) -> float:
+def survival_probability(spec: TreeSpec, q: float, depth: int) -> float:
     """Exact probability that q-percolation connects the root to depth `depth`.
 
     "Connects" means an open path to an extendable frontier vertex; dead-end
@@ -57,7 +56,7 @@ def survival_probability(spec: TreeSpec, q: float, depth: int, *,
         return _survival_scalar_homogeneous(spec.b, q, depth)
     if spec.kind == "spine_with_leaves":
         return q**depth  # leaf bundles are dead ends; only the spine counts
-    tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+    tree = build_truncation(spec, depth)
     return survival_probability_tree(tree, q)
 
 
@@ -112,8 +111,7 @@ def percolate_sample(tree: Tree, q: float, seed: int) -> PercolationSample:
 
 
 def survival_monte_carlo(spec: TreeSpec, q: float, depth: int, trials: int,
-                         seed: int, *, vertex_cap: int | None = None
-                         ) -> tuple[float, float]:
+                         seed: int) -> tuple[float, float]:
     """Monte Carlo twin of survival_probability; returns (estimate, stderr).
 
     Each trial gets its own derived seed, so results are independent of
@@ -136,7 +134,7 @@ def survival_monte_carlo(spec: TreeSpec, q: float, depth: int, trials: int,
                     break
             hits += z > 0
     else:
-        tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+        tree = build_truncation(spec, depth)
         for t in range(trials):
             hits += percolate_sample(tree, q, rng.derive(seed, _TAG_TRIAL, t)).survived
     p_hat = hits / trials

@@ -196,7 +196,7 @@ class Distribution:
         """image(s) over the sorted support s, or over the guide table when
         every bucket holds one value (gap 0): the values `sample_values`
         gathers.  image=None means s itself.  Tables are cached per law and
-        image; call this before threads share the law.
+        image; threads that fill one at once compute equal arrays.
         """
         table = self._images.get(image)
         if table is None:

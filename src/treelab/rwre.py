@@ -125,7 +125,7 @@ def _sum_evidence(m_counts: np.ndarray, p: float) -> dict:
     }
 
 
-def _cutset_evidence(spec: TreeSpec, tree: Tree | None, ext_counts, p: float,
+def _cutset_evidence(spec: TreeSpec, tree: Tree | None, p: float,
                      depth: int) -> dict:
     """Cutset infima of p**depth at the full and half window, with decay verdict."""
     half = depth // 2
@@ -169,8 +169,7 @@ def _bounded_evidence(ext_counts: np.ndarray, p: float) -> dict:
 
 
 def classify(law: Distribution, spec: TreeSpec, depth: int,
-             tol: float = 1e-9, *, vertex_cap: int | None = None
-             ) -> ClassificationReport:
+             tol: float = 1e-9) -> ClassificationReport:
     """Decide the walk's regime for (law, tree family) by the strongest
     applicable criterion, with numeric witnesses attached.
 
@@ -215,7 +214,7 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
     if analytic is not None:
         m_counts, ext_counts = analytic
     else:
-        tree = build_truncation(spec, depth, vertex_cap=vertex_cap)
+        tree = build_truncation(spec, depth)
         m_counts, ext_counts = _tree_level_counts(tree)
 
     br_exact = spec.known_branching()
@@ -228,7 +227,7 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
         boundary_tol = max(tol, est.width)
 
     sum_ev = _sum_evidence(m_counts, p)
-    cut_ev = _cutset_evidence(spec, tree, ext_counts, p, depth)
+    cut_ev = _cutset_evidence(spec, tree, p, depth)
     bnd_ev = _bounded_evidence(ext_counts, p)
     witnesses.update({"branching": [br_lo, br_hi],
                       "partial_sums": sum_ev, "cutsets": cut_ev,

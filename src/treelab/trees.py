@@ -227,8 +227,44 @@ def load_parent_list(path) -> TreeSpec:
 # Materialized trees
 # ---------------------------------------------------------------------------
 
+class _Levels:
+    """The level ranges of a BFS layout, from its `level_offsets`: level k
+    occupies [offsets[k], offsets[k+1])."""
+
+    def level_slice(self, k: int) -> slice:
+        off = self.level_offsets
+        return slice(int(off[k]), int(off[k + 1]))
+
+    def level_sizes(self) -> np.ndarray:
+        return np.diff(self.level_offsets)
+
+
+@dataclass(frozen=True)
+class HomogeneousLevels(_Levels):
+    """The BFS layout of the depth-`truncation_depth` b-ary truncation, by
+    arithmetic: the level vocabulary of `Tree` (`n_vertices`,
+    `level_offsets`, `level_slice`, `level_parents`) with no vertex arrays.
+    Every frontier vertex is extendable."""
+
+    b: int
+    truncation_depth: int
+
+    @property
+    def n_vertices(self) -> int:
+        b, n = self.b, self.truncation_depth
+        return n + 1 if b == 1 else (b ** (n + 1) - 1) // (b - 1)
+
+    @cached_property
+    def level_offsets(self) -> np.ndarray:
+        return np.cumsum([0] + [self.b**k for k in range(self.truncation_depth + 1)])
+
+    def level_parents(self, k: int) -> tuple[np.ndarray, int]:
+        """As `Tree.level_parents`: the b children of a parent are adjacent."""
+        return np.arange(self.b**k) // self.b, self.b**(k - 1)
+
+
 @dataclass
-class Tree:
+class Tree(_Levels):
     """A finite truncation in BFS layout; treat as immutable once built."""
 
     parent: np.ndarray          # int64; parent[0] == -1
@@ -243,15 +279,7 @@ class Tree:
 
     @cached_property
     def level_offsets(self) -> np.ndarray:
-        """Offsets such that level k occupies [offsets[k], offsets[k+1])."""
         return np.searchsorted(self.depth, np.arange(self.truncation_depth + 2))
-
-    def level_slice(self, k: int) -> slice:
-        off = self.level_offsets
-        return slice(int(off[k]), int(off[k + 1]))
-
-    def level_sizes(self) -> np.ndarray:
-        return np.diff(self.level_offsets)
 
     @property
     def has_extendable_frontier(self) -> bool:
@@ -368,25 +396,21 @@ def _check_cap(n: int, cap: int) -> None:
 
 def _assemble(parents_per_level: list[np.ndarray], depth_n: int,
               extendable: np.ndarray) -> Tree:
+    """The tree whose levels 1..depth_n have these int64 parent ids."""
     sizes = [1] + [len(p) for p in parents_per_level]
-    parent = np.concatenate([np.array([-1], dtype=np.int64)] +
-                            [p.astype(np.int64) for p in parents_per_level])
+    parent = np.concatenate([np.array([-1], dtype=np.int64)] + parents_per_level)
     depth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     return Tree(parent=parent, depth=depth, extendable=extendable,
                 truncation_depth=depth_n)._freeze()
 
 
 def _build_homogeneous(b: int, depth: int, cap: int) -> Tree:
-    total = depth + 1 if b == 1 else (b ** (depth + 1) - 1) // (b - 1)
-    _check_cap(total, cap)
-    levels = []
-    start, size = 0, 1
-    for _ in range(depth):
-        levels.append(np.repeat(np.arange(start, start + size, dtype=np.int64), b))
-        start += size
-        size *= b
-    ext = np.zeros(total, dtype=bool)
-    ext[start:] = True
+    layout = HomogeneousLevels(b, depth)
+    _check_cap(layout.n_vertices, cap)
+    levels = [layout.level_parents(k)[0] + layout.level_slice(k - 1).start
+              for k in range(1, depth + 1)]
+    ext = np.zeros(layout.n_vertices, dtype=bool)
+    ext[layout.level_slice(depth)] = True
     return _assemble(levels, depth, ext)
 
 

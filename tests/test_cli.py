@@ -15,13 +15,15 @@ HOM2_DOC = {"schema": 1, "kind": "homogeneous", "b": 2}
 A_LAW_DOC = {"schema": 1, "support": [0.5, 0.75], "weights": [0.5, 0.5]}
 X_LAW_DOC = {"schema": 1, "support": [0.0, 1.0], "weights": [0.5, 0.5]}
 ZERO_LAW_DOC = {"schema": 1, "support": [0.0, 2.0], "weights": [0.5, 0.5]}
+X_INF_LAW_DOC = {"schema": 1, "support": [1.0, "inf"], "weights": [0.5, 0.5]}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, doc in (("hom2", HOM2_DOC), ("a_law", A_LAW_DOC),
-                      ("x_law", X_LAW_DOC), ("zero_law", ZERO_LAW_DOC)):
+                      ("x_law", X_LAW_DOC), ("zero_law", ZERO_LAW_DOC),
+                      ("x_inf", X_INF_LAW_DOC)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -163,9 +165,28 @@ class TestExitCodes:
     def test_resource_cap_exit(self, files):
         assert main(["tree", "--tree", files["hom2"], "--depth", "40"]) == 3
 
-    def test_unsupported_case_exit(self, files):
-        assert main(["conductance", "--tree", files["hom2"], "--dist",
-                     files["zero_law"], "--depth", "6"]) == 4
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["conductance"],
+        ["walk", "--steps", "10"],
+        ["percolate", "--proof", "rwre"],
+    ], ids=["conductance", "walk", "proof-rwre"])
+    def test_unsupported_case_exit(self, files, capsys, argv, workers):
+        assert main(argv + ["--tree", files["hom2"], "--dist", files["zero_law"],
+                            "--depth", "6", "--seeds", "3",
+                            "--workers", workers]) == 4
+        assert capsys.readouterr().err.startswith("unsupported case: ")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--dist", "x_inf"], "law must have finite real support"),
+        (["--dist", "x_inf", "--workers", "2"], "law must have finite real support"),
+        ([], "--dist is required for this op"),
+    ], ids=["inf-time", "inf-time-workers", "no-law"])
+    def test_proof_fpp_config_error(self, files, capsys, argv, err):
+        argv = [files.get(a, a) for a in argv]
+        assert main(["percolate", "--proof", "fpp", "--tree", files["hom2"],
+                     "--depth", "6", "--seeds", "3"] + argv) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
 
     def test_walk_step_cap_exit(self, files, monkeypatch, capsys):
         monkeypatch.setattr(rwre, "_STEP_CAP", 1)

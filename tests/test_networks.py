@@ -205,6 +205,7 @@ class TestRatioRecursion:
         (3, Distribution.uniform([1e-3, 1.0, 1e3]), 6),
         (3, Distribution.uniform([1e-200, 1e200]), 5),  # some runs on log h
         (2, Distribution.uniform([1e-40, 1e-39]), 10),  # below double range
+        (1, Distribution.uniform([0.5, 2.0]), 12),  # the path
     ])
     def test_streaming_same_bits(self, b, law, depth):
         spec = TreeSpec.homogeneous(b)

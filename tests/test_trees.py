@@ -5,8 +5,8 @@ import pytest
 
 from treelab.errors import ResourceCapError, ValidationError
 from treelab.ratecalc import Distribution
-from treelab.trees import (TreeSpec, build_truncation, contract_k,
-                           extendable_lineage, level_sizes, load_parent_list,
+from treelab.trees import (HomogeneousLevels, TreeSpec, build_truncation,
+                           contract_k, extendable_lineage, level_sizes, load_parent_list,
                            truncate, validate_tree)
 
 from conftest import assorted_trees, random_explicit_spec, table_depth
@@ -220,6 +220,26 @@ class TestLevelVocabulary:
                 group, m = t.level_parents(k)
                 want, want_m = oracles.level_parents_by_search(t, k)
                 assert group.dtype == np.int64 and group.tolist() == want
+                assert m == want_m
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_homogeneous_levels_match_the_built_tree(self, b):
+        for d in range(8):
+            t = build_truncation(TreeSpec.homogeneous(b), d)
+            # the b-ary heap layout, canonicalized from a literal parent table
+            heap = build_truncation(
+                TreeSpec.explicit([(v - 1) // b for v in range(1, t.n_vertices)]), d)
+            assert t.parent.tolist() == heap.parent.tolist()
+            assert t.extendable.tolist() == heap.extendable.tolist()
+            levels = HomogeneousLevels(b, d)
+            assert levels.truncation_depth == d
+            assert levels.n_vertices == t.n_vertices
+            for k in range(d + 1):
+                assert levels.level_slice(k) == t.level_slice(k)
+            for k in range(1, d + 1):
+                group, m = levels.level_parents(k)
+                want, want_m = t.level_parents(k)
+                assert group.dtype == np.int64 and group.tolist() == want.tolist()
                 assert m == want_m
 
     def test_climb_matches_step_walk(self, seeded_rng):
