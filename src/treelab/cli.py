@@ -81,8 +81,10 @@ def _write_json(doc, fh, indent=None) -> None:
                         allow_nan=False) + "\n")
 
 
-def _emit(rows: list[dict], summary: dict | None, args) -> None:
-    """Human table on stdout; optional CSV/JSON file per --format."""
+def _emit(rows: list[dict], summary: dict | None, args,
+          doc: dict | None = None) -> None:
+    """Human table on stdout; optional CSV/JSON file per --format.  The JSON
+    file is `doc` when given, else the rows and summary."""
     _print_table(rows)
     for k, v in (summary or {}).items():
         print(f"# {k} = {_fmt(v)}")
@@ -91,9 +93,10 @@ def _emit(rows: list[dict], summary: dict | None, args) -> None:
             if args.format == "csv":
                 fh.write(_rows_to_csv(rows))
             else:
-                doc = {"schema": 1, "rows": rows}
-                if summary:
-                    doc["summary"] = summary
+                if doc is None:
+                    doc = {"schema": 1, "rows": rows}
+                    if summary:
+                        doc["summary"] = summary
                 _write_json(doc, fh)
 
 
@@ -291,14 +294,7 @@ def _cmd_fpp(args) -> int:
         "predicted_rate": report.predicted_rate,
         "mean_b": float(report.b_values.mean()),
     }
-    if args.format == "json" and args.out:
-        _print_table(rows)
-        for k, v in summary.items():
-            print(f"# {k} = {_fmt(v)}")
-        with open(args.out, "w") as fh:
-            _write_json(report.to_json(), fh)
-        return EXIT_OK
-    _emit(rows, summary, args)
+    _emit(rows, summary, args, report.to_json())
     return EXIT_OK
 
 

@@ -160,6 +160,8 @@ def effective_conductance(tree: Tree | HomogeneousLevels, env: Environment,
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
     if ground_depth is None:
+        if not isinstance(tree, Tree):
+            raise ValidationError("a HomogeneousLevels source needs ground_depth")
         depth = tree.truncation_depth
         if depth < 1:
             raise ValidationError("conductance needs truncation depth >= 1")

@@ -104,10 +104,10 @@ def percolate_sample(tree: Tree, q: float, seed: int) -> PercolationSample:
         u = rng.uniforms(rng.derive(seed, _TAG_PERC), range(1, v))
         open_edges[1:] = u < q
     reached, survived = _propagate(tree, open_edges)
-    depths = tree.depth[reached]
+    deepest = np.flatnonzero(reached)[-1]  # the root is always reached
     return PercolationSample(tree=tree, q=q, seed=seed, open_edges=open_edges,
                              reached=reached, survived=survived,
-                             reached_depth=int(depths.max()) if len(depths) else 0)
+                             reached_depth=int(tree.depth_of(deepest)))
 
 
 def survival_monte_carlo(spec: TreeSpec, q: float, depth: int, trials: int,

@@ -95,9 +95,10 @@ def _analytic_level_counts(spec: TreeSpec, depth: int):
 
 
 def _tree_level_counts(tree: Tree):
-    ext = np.bincount(tree.depth, weights=extendable_lineage(tree),
-                      minlength=tree.truncation_depth + 1)
-    return tree.level_sizes().astype(np.float64), ext
+    lineage = extendable_lineage(tree)
+    ext = [np.count_nonzero(lineage[tree.level_slice(k)])
+           for k in range(tree.truncation_depth + 1)]
+    return tree.level_sizes().astype(np.float64), np.array(ext, dtype=np.float64)
 
 
 def _sum_evidence(m_counts: np.ndarray, p: float) -> dict:
@@ -359,7 +360,7 @@ def simulate_walk(env: Environment, steps: int, seed: int,
     v = 0
     occupation[0] += 1
     returns = 0
-    max_depth = 0
+    deepest = 0  # ids grow with depth, so the largest id visited is deepest
     taken = 0
     exited = bool(tree.extendable[0])
     for _ in range(steps):
@@ -373,13 +374,12 @@ def simulate_walk(env: Environment, steps: int, seed: int,
         v = nxt
         taken += 1
         occupation[v] += 1
-        d = int(tree.depth[v])
-        max_depth = max(max_depth, d)
+        deepest = max(deepest, v)
         returns += v == 0
     else:
         exited = exited or bool(tree.extendable[v])
     return WalkSummary(steps_requested=steps, steps_taken=taken,
-                       returns_to_root=returns, max_depth=max_depth,
+                       returns_to_root=returns, max_depth=int(tree.depth_of(deepest)),
                        exited_truncation=exited, occupation=occupation,
                        transition_counts=transitions)
 
@@ -425,13 +425,14 @@ def escape_probability(env: Environment, depth: int, trials: int,
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     kernel = _KernelCache(env)
+    first = int(tree.level_offsets[depth])
     successes = 0
     for t in range(trials):
         gen = rng.generator(env.seed, _TAG_ESCAPE, seed, t)
         v = 0
         for _ in range(_STEP_CAP):
             v = _step(kernel.row(v), gen.random())
-            if tree.depth[v] >= depth:
+            if v >= first:
                 successes += 1
                 break
             if v == 0:

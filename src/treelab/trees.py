@@ -4,6 +4,9 @@ A `Tree` is a depth-`n` window onto an infinite tree described by a
 `TreeSpec`.  Vertices are numbered 0..V-1 in breadth-first order (root 0),
 which makes each level a contiguous id range, keeps children of one parent
 contiguous, and makes truncations at different depths prefix-consistent.
+A tree stores two arrays per vertex, `parent` and `extendable`, and one
+offset per level: level k is the id range [level_offsets[k],
+level_offsets[k+1]), so a vertex's depth is found from its id.
 Frontier vertices carry an `extendable` flag: True when the generator would
 give them successors beyond the window.  Dead-end leaves (vertices the
 generator stops at for good) stay non-extendable, so cut and flow semantics
@@ -238,6 +241,10 @@ class _Levels:
     def level_sizes(self) -> np.ndarray:
         return np.diff(self.level_offsets)
 
+    def depth_of(self, ids):
+        """The level of each vertex id in `ids` (an int or an array)."""
+        return np.searchsorted(self.level_offsets, ids, "right") - 1
+
 
 @dataclass(frozen=True)
 class HomogeneousLevels(_Levels):
@@ -267,32 +274,27 @@ class HomogeneousLevels(_Levels):
 class Tree(_Levels):
     """A finite truncation in BFS layout; treat as immutable once built."""
 
-    parent: np.ndarray          # int64; parent[0] == -1
-    depth: np.ndarray           # int64, nondecreasing
+    parent: np.ndarray          # int64; parent[0] == -1, then nondecreasing
     extendable: np.ndarray      # bool; may be True only at the truncation depth
-    truncation_depth: int
+    level_offsets: np.ndarray   # int64, truncation_depth + 2 entries
     source_vertices: np.ndarray | None = None  # original ids after contraction
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
 
-    @cached_property
-    def level_offsets(self) -> np.ndarray:
-        return np.searchsorted(self.depth, np.arange(self.truncation_depth + 2))
+    @property
+    def truncation_depth(self) -> int:
+        return len(self.level_offsets) - 2
 
     @property
     def has_extendable_frontier(self) -> bool:
         return bool(self.extendable.any())
 
     def children_slice(self, v: int) -> slice:
-        """Ids of v's children (contiguous by the BFS layout)."""
-        d = int(self.depth[v])
-        sl = self.level_slice(d + 1) if d + 1 <= self.truncation_depth else slice(0, 0)
-        seg = self.parent[sl]
-        lo = int(np.searchsorted(seg, v, side="left")) + sl.start
-        hi = int(np.searchsorted(seg, v, side="right")) + sl.start
-        return slice(lo, hi)
+        """Ids of v's children: contiguous, as parent ids are nondecreasing."""
+        return slice(int(np.searchsorted(self.parent, v, side="left")),
+                     int(np.searchsorted(self.parent, v, side="right")))
 
     def level_parents(self, k: int) -> tuple[np.ndarray, int]:
         """For each vertex of level k >= 1, its parent's offset within level
@@ -343,7 +345,7 @@ class Tree(_Levels):
         return alive
 
     def _freeze(self) -> "Tree":
-        for arr in (self.parent, self.depth, self.extendable):
+        for arr in (self.parent, self.extendable, self.level_offsets):
             arr.setflags(write=False)
         if self.source_vertices is not None:
             self.source_vertices.setflags(write=False)
@@ -366,23 +368,18 @@ def extendable_lineage(tree: Tree) -> np.ndarray:
 
 def validate_tree(tree: Tree) -> None:
     """Check the structural invariants; raises ValidationError on any breach."""
-    v = tree.n_vertices
-    if v == 0 or tree.parent[0] != -1 or tree.depth[0] != 0:
-        raise ValidationError("root must be vertex 0 at depth 0")
-    if np.any(np.diff(tree.depth) < 0):
-        raise ValidationError("vertex ids must be sorted by depth")
-    if v > 1:
-        p = tree.parent[1:]
-        if np.any((p < 0) | (p >= np.arange(1, v))):
-            raise ValidationError("each non-root parent id must precede the vertex")
-        if np.any(tree.depth[1:] != tree.depth[p] + 1):
-            raise ValidationError("depth must be parent depth + 1")
-        # with depths sorted, this is the grouping within every level
-        if np.any(np.diff(p) < 0):
-            raise ValidationError("children of a level must be grouped by parent")
-    if int(tree.depth[-1]) > tree.truncation_depth:
-        raise ValidationError("vertices deeper than the truncation depth")
-    if tree.extendable[tree.depth < tree.truncation_depth].any():
+    v, off = tree.n_vertices, tree.level_offsets
+    if v == 0 or len(off) < 2 or off[0] != 0 or off[1] != 1 or tree.parent[0] != -1:
+        raise ValidationError("root must be vertex 0, alone at depth 0")
+    if np.any(np.diff(off) < 0) or off[-1] != v:
+        raise ValidationError("level offsets must be nondecreasing and end at V")
+    for k in range(1, tree.truncation_depth + 1):
+        if np.any(tree.depth_of(tree.parent[tree.level_slice(k)]) != k - 1):
+            raise ValidationError("each parent must lie in the level above its child")
+    # with each parent a level up, this is the grouping within every level
+    if np.any(np.diff(tree.parent[1:]) < 0):
+        raise ValidationError("children of a level must be grouped by parent")
+    if tree.extendable[:off[-2]].any():
         raise ValidationError("only frontier vertices may be extendable")
 
 
@@ -397,11 +394,11 @@ def _check_cap(n: int, cap: int) -> None:
 def _assemble(parents_per_level: list[np.ndarray], depth_n: int,
               extendable: np.ndarray) -> Tree:
     """The tree whose levels 1..depth_n have these int64 parent ids."""
-    sizes = [1] + [len(p) for p in parents_per_level]
+    sizes = [0, 1] + [len(p) for p in parents_per_level]
+    sizes += [0] * (depth_n + 2 - len(sizes))  # the levels after an extinction
     parent = np.concatenate([np.array([-1], dtype=np.int64)] + parents_per_level)
-    depth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return Tree(parent=parent, depth=depth, extendable=extendable,
-                truncation_depth=depth_n)._freeze()
+    return Tree(parent=parent, extendable=extendable,
+                level_offsets=np.cumsum(sizes, dtype=np.int64))._freeze()
 
 
 def _build_homogeneous(b: int, depth: int, cap: int) -> Tree:
@@ -500,7 +497,7 @@ def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
             keep.append(v)
     parent = np.array([-1] + [new_id[parents[v - 1]] for v in keep[1:]],
                       dtype=np.int64)
-    dep = np.array([depth_of[v] for v in keep], dtype=np.int64)
+    sizes = [0] + [len(by_level.get(d, ())) for d in range(depth + 1)]
     ext = np.zeros(len(keep), dtype=bool)
     for v in keep:
         if depth_of[v] != depth:
@@ -516,7 +513,8 @@ def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
                 depth_of[c] > depth for c in kids[v])
     # ensure BFS child grouping (keep was sorted by (depth, id), and parents of
     # a level are visited in id order, so groups are already contiguous)
-    tree = Tree(parent=parent, depth=dep, extendable=ext, truncation_depth=depth)
+    tree = Tree(parent=parent, extendable=ext,
+                level_offsets=np.cumsum(sizes, dtype=np.int64))
     validate_tree(tree)
     return tree._freeze()
 
@@ -568,8 +566,8 @@ def truncate(tree: Tree, depth: int) -> Tree:
     sl = tree.level_slice(depth)
     group, m = tree.level_parents(depth + 1)
     ext[sl] = (np.bincount(group, minlength=m) > 0) | tree.extendable[sl]
-    return Tree(parent=tree.parent[:cut], depth=tree.depth[:cut],
-                extendable=ext, truncation_depth=depth)._freeze()
+    return Tree(parent=tree.parent[:cut], extendable=ext,
+                level_offsets=tree.level_offsets[:depth + 2])._freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +587,19 @@ def contract_k(tree: Tree, k: int) -> Tree:
         raise ValidationError(
             f"truncation depth {tree.truncation_depth} is not divisible by {k}")
     if k == 1:
-        return Tree(parent=tree.parent, depth=tree.depth,
-                    extendable=tree.extendable,
-                    truncation_depth=tree.truncation_depth,
+        return Tree(parent=tree.parent, extendable=tree.extendable,
+                    level_offsets=tree.level_offsets,
                     source_vertices=np.arange(tree.n_vertices, dtype=np.int64))
-    keep = (np.asarray(tree.depth) % k) == 0
-    src = np.nonzero(keep)[0].astype(np.int64)
+    kept = [tree.level_slice(j) for j in range(0, tree.truncation_depth + 1, k)]
+    src = np.concatenate([np.arange(sl.start, sl.stop, dtype=np.int64) for sl in kept])
     anc = src
     for _ in range(k):
         anc = tree.climb(anc)
-    new_id = np.cumsum(keep) - 1
-    parent = np.where(anc >= 0, new_id[np.maximum(anc, 0)], -1).astype(np.int64)
+    # a contracted id is the rank of the original id among the kept ones
+    parent = np.where(anc >= 0, np.searchsorted(src, anc), -1)
     out = Tree(parent=parent,
-               depth=(tree.depth[src] // k).astype(np.int64),
-               extendable=tree.extendable[src].copy(),
-               truncation_depth=tree.truncation_depth // k,
+               extendable=tree.extendable[src],
+               level_offsets=np.cumsum([0] + [sl.stop - sl.start for sl in kept],
+                                       dtype=np.int64),
                source_vertices=src)
     return out._freeze()

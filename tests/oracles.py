@@ -196,7 +196,8 @@ def log_cutset_min_masked(tree, lam: float) -> float:
     log_val = np.full(tree.n_vertices, -np.inf)
     n = tree.truncation_depth
     frontier = tree.extendable
-    log_val[frontier] = -tree.depth[frontier] * log_lam
+    depth = depths_by_climbing(tree)
+    log_val[frontier] = -depth[frontier] * log_lam
 
     for k in range(n - 1, 0, -1):
         child_sl = tree.level_slice(k + 1)
@@ -216,7 +217,7 @@ def log_cutset_min_masked(tree, lam: float) -> float:
                            minlength=m_k)
         with np.errstate(divide="ignore", invalid="ignore"):
             child_total = np.where(sums > 0, mx + np.log(sums), -np.inf)
-        own = -tree.depth[sl] * log_lam
+        own = -depth[sl] * log_lam
         log_val[sl] = np.where(alive[sl], np.minimum(own, child_total), -np.inf)
 
     lvl1 = tree.level_slice(1)
@@ -380,10 +381,21 @@ def root_path_sums(parent, edge_vals) -> np.ndarray:
 # Level primitives, vertex by vertex
 # ---------------------------------------------------------------------------
 
+def depths_by_climbing(tree) -> np.ndarray:
+    """The depth of every vertex: the number of `parent` steps up to -1."""
+    depth = np.zeros(tree.n_vertices, dtype=np.int64)
+    up = np.array(tree.parent, dtype=np.int64)
+    while (up >= 0).any():
+        on = up >= 0
+        depth += on
+        up[on] = tree.parent[up[on]]
+    return depth
+
+
 def level_parents_by_search(tree, k: int) -> tuple[list[int], int]:
     """Each level-k vertex's parent's position among the level-(k-1) ids, by
     listing the vertices of each depth; and the size of level k - 1."""
-    depth = [int(d) for d in tree.depth]
+    depth = depths_by_climbing(tree).tolist()
     above = [v for v, d in enumerate(depth) if d == k - 1]
     return [above.index(int(tree.parent[v])) for v, d in enumerate(depth) if d == k], \
         len(above)

@@ -439,7 +439,7 @@ def test_criterion_10_flow_cut_oracles():
             assert max_flow(tree, caps) == pytest.approx(
                 oracles.min_cutset_sum(tree, caps), abs=1e-12)
             lam = gen.uniform(0.6, 2.5)
-            power = lam ** -tree.depth.astype(float)
+            power = lam ** -oracles.depths_by_climbing(tree).astype(float)
             assert float(cutset_min(tree, lam)) == pytest.approx(
                 max_flow(tree, power), rel=1e-10)
     report("criterion 10", t.elapsed < 10,

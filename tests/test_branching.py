@@ -84,7 +84,7 @@ class TestCutsetMin:
             spec = random_explicit_spec(seeded_rng, seeded_rng.randint(3, 12))
             t = _full_depth_tree(spec)
             lam = seeded_rng.uniform(0.6, 3.0)
-            caps = lam ** -t.depth.astype(float)
+            caps = lam ** -oracles.depths_by_climbing(t).astype(float)
             assert float(cutset_min(t, lam)) == pytest.approx(
                 oracles.min_cutset_sum(t, caps), rel=1e-9)
 

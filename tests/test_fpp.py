@@ -31,7 +31,7 @@ class TestSampling:
     def test_unit_times_give_depth(self):
         t = build_truncation(HOM2, 6)
         s = sample_passage_times(t, Distribution.point(1.0), 1)
-        assert np.array_equal(s.s, t.depth.astype(float))
+        assert np.array_equal(s.s, oracles.depths_by_climbing(t).astype(float))
 
     def test_deterministic(self):
         t = build_truncation(HOM2, 8)

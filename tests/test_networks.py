@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from treelab.errors import UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution
-from treelab.trees import TreeSpec, build_truncation, truncate
+from treelab.trees import HomogeneousLevels, TreeSpec, build_truncation, truncate
 from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_conductance,
                               homogeneous_constant_conductance, max_flow,
@@ -191,6 +191,12 @@ class TestEffectiveConductance:
         with pytest.raises(ValidationError):
             effective_conductance(t, sample_environment(t, UNIT, 0))
 
+    def test_level_source_needs_ground_depth(self):
+        # a HomogeneousLevels has no extendable flags to ground at
+        levels = HomogeneousLevels(2, 5)
+        with pytest.raises(ValidationError, match="ground_depth"):
+            effective_conductance(levels, sample_environment(levels, UNIT, 0))
+
 
 def _bits(x: float) -> str:
     return float(x).hex()
@@ -260,7 +266,8 @@ class TestRatioRecursion:
             a = np.exp(env.log_a)
             for ground in (None, 1, 2, 3):
                 g = effective_conductance(t, env, ground)
-                mask = t.extendable if ground is None else t.depth == ground
+                mask = (t.extendable if ground is None
+                        else oracles.depths_by_climbing(t) == ground)
                 assert math.isfinite(g) and g > 0.0
                 exact = float(oracles.conductance_exact(t, a, mask))
                 assert g == pytest.approx(exact, rel=1e-13, abs=0.0)
@@ -335,7 +342,8 @@ def _grounded_env(draw, depth_cap, log_a_values):
 
 def _against_exact_rationals(env, ground, rel):
     tree = env.tree
-    mask = tree.extendable if ground is None else tree.depth == ground
+    mask = (tree.extendable if ground is None
+            else oracles.depths_by_climbing(tree) == ground)
     exact = oracles.conductance_exact(tree, np.exp(env.log_a), mask)
     g = effective_conductance(tree, env, ground)
     if exact == 0:
@@ -369,7 +377,7 @@ class TestMaxFlow:
     def test_halving_capacities(self):
         for d in (3, 6):
             t = build_truncation(HOM2, d)
-            caps = 0.5 ** t.depth.astype(float)
+            caps = 0.5 ** oracles.depths_by_climbing(t).astype(float)
             assert max_flow(t, caps) == pytest.approx(1.0, rel=1e-12)
 
     def test_spine_unit_capacities(self):
@@ -390,7 +398,7 @@ class TestMaxFlow:
             spec = random_explicit_spec(seeded_rng, seeded_rng.randint(3, 12))
             t = _deepest(spec)
             lam = seeded_rng.uniform(0.7, 2.5)
-            caps = lam ** -t.depth.astype(float)
+            caps = lam ** -oracles.depths_by_climbing(t).astype(float)
             assert float(cutset_min(t, lam)) == pytest.approx(
                 max_flow(t, caps), rel=1e-10)
 

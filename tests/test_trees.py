@@ -1,11 +1,16 @@
 """Tree generators, truncations, contraction, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from treelab.errors import ResourceCapError, ValidationError
+from treelab.networks import sample_environment
+from treelab.percolation import percolate_sample
 from treelab.ratecalc import Distribution
-from treelab.trees import (HomogeneousLevels, TreeSpec, build_truncation,
+from treelab.rwre import _tree_level_counts, simulate_walk
+from treelab.trees import (HomogeneousLevels, Tree, TreeSpec, build_truncation,
                            contract_k, extendable_lineage, level_sizes, load_parent_list,
                            truncate, validate_tree)
 
@@ -63,7 +68,7 @@ class TestBuild:
             small = build_truncation(spec, 4)
             n = small.n_vertices
             assert np.array_equal(big.parent[:n], small.parent)
-            assert np.array_equal(big.depth[:n], small.depth)
+            assert np.array_equal(big.level_offsets[:6], small.level_offsets)
             # shared-prefix extendability: a frontier vertex of the shallow
             # window extends iff it actually has children in the deeper one
             fr = small.level_slice(4)
@@ -163,7 +168,7 @@ class TestExplicit:
         spec = TreeSpec.explicit([0, 0, 1], extendable=[3])
         t = build_truncation(spec, 2)
         assert t.extendable.sum() == 1
-        assert t.depth[t.extendable.argmax()] == 2
+        assert oracles.depths_by_climbing(t)[t.extendable.argmax()] == 2
 
     def test_extendable_mark_below_depth_rejected(self):
         # vertex 2 is a depth-1 leaf; marking it extendable contradicts a
@@ -186,7 +191,7 @@ class TestContraction:
         validate_tree(c)
         # every contracted vertex has exactly 4 children: the square tree
         kids = np.bincount(c.parent[1:], minlength=c.n_vertices)
-        assert set(kids[c.depth < c.truncation_depth]) == {4}
+        assert set(kids[oracles.depths_by_climbing(c) < c.truncation_depth]) == {4}
 
     def test_spine_contraction_by_hand(self):
         c = contract_k(build_truncation(SPINE, 4), 2)
@@ -197,7 +202,7 @@ class TestContraction:
         src = c.source_vertices
         spine_new = np.nonzero(c.extendable)[0][0]
         orig = build_truncation(SPINE, 4)
-        assert orig.depth[src[spine_new]] == 4
+        assert oracles.depths_by_climbing(orig)[src[spine_new]] == 4
         # walking two original parents from the deep spine vertex lands on the
         # contracted parent's source vertex
         up2 = orig.parent[orig.parent[src[spine_new]]]
@@ -272,11 +277,101 @@ class TestLevelVocabulary:
         t = build_truncation(spec, 0)
         validate_tree(t)
         assert t.truncation_depth == 0
-        assert t.parent.dtype == t.depth.dtype == np.int64
-        assert t.parent.tolist() == [-1] and t.depth.tolist() == [0]
+        assert t.parent.dtype == t.level_offsets.dtype == np.int64
+        assert t.parent.tolist() == [-1] and t.level_offsets.tolist() == [0, 1]
         assert t.extendable.dtype == bool and t.extendable.shape == (1,)
         # the root extends iff the spec's tree goes on below it
         assert t.extendable[0] == truncate(build_truncation(spec, 1), 0).extendable[0]
+
+
+class TestDepthFromOffsets:
+    """Every depth answer comes from `level_offsets`; judge it against the
+    depths found by climbing `parent`."""
+
+    def test_depths_match_the_climbing_oracle(self, seeded_rng):
+        trees = []
+        for t in assorted_trees(seeded_rng):
+            trees += [t] + [contract_k(t, k) for k in range(2, t.truncation_depth + 1)
+                            if t.truncation_depth % k == 0]
+        law = Distribution.uniform([0.5, 2.0])
+        died = 0
+        for i, t in enumerate(trees):
+            depth = oracles.depths_by_climbing(t)
+            n, v = t.truncation_depth, t.n_vertices
+            assert t.depth_of(np.arange(v)).tolist() == depth.tolist()
+            assert t.level_offsets.tolist() == [int((depth < k).sum())
+                                                for k in range(n + 2)]
+            assert depth.max() <= n
+            died += int(depth.max()) < n
+            for u in range(v):
+                sl = t.children_slice(u)
+                assert list(range(sl.start, sl.stop)) == np.flatnonzero(t.parent == u).tolist()
+            m, ext = _tree_level_counts(t)
+            lineage = np.array(oracles.lineage_by_ancestors(t))
+            assert m.dtype == ext.dtype == np.float64
+            assert m.tolist() == [float((depth == k).sum()) for k in range(n + 1)]
+            assert ext.tolist() == [float(lineage[depth == k].sum()) for k in range(n + 1)]
+            sample = percolate_sample(t, 0.7, i)
+            assert sample.reached_depth == depth[sample.reached].max()
+            if v > 1:
+                walk = simulate_walk(sample_environment(t, law, i), 50, i)
+                assert walk.max_depth == depth[walk.occupation > 0].max()
+        assert died > 0  # some trees end in empty levels
+
+    def test_contraction_keeps_every_kth_level(self, seeded_rng):
+        for t in assorted_trees(seeded_rng):
+            depth = oracles.depths_by_climbing(t)
+            for k in range(1, t.truncation_depth + 1):
+                if t.truncation_depth % k:
+                    continue
+                c = contract_k(t, k)
+                assert c.truncation_depth == t.truncation_depth // k
+                assert c.source_vertices.tolist() == np.flatnonzero(depth % k == 0).tolist()
+                assert (oracles.depths_by_climbing(c).tolist()
+                        == (depth[c.source_vertices] // k).tolist())
+
+
+def _hand_built(parent=(-1, 0, 0, 1, 1, 2), offsets=(0, 1, 3, 6),
+                extendable=(0, 0, 0, 1, 1, 1)) -> Tree:
+    return Tree(parent=np.array(parent, dtype=np.int64),
+                extendable=np.array(extendable, dtype=bool),
+                level_offsets=np.array(offsets, dtype=np.int64))
+
+
+class TestValidateTree:
+    def test_hand_built_tree_is_valid(self):
+        validate_tree(_hand_built())
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"parent": (-1, 0, 0, 0, 1, 2)}, "level above"),
+        ({"parent": (-1, 0, 0, 2, 1, 1)}, "grouped by parent"),
+        ({"extendable": (0, 1, 0, 1, 1, 1)}, "only frontier"),
+        ({"offsets": (0, 1, 3, 5)}, "end at V"),
+        ({"offsets": (0, 1, 4, 3, 6)}, "nondecreasing"),
+        ({"offsets": (0, 2, 3, 6)}, "alone at depth 0"),
+        ({"parent": (0, 0, 0, 1, 1, 2)}, "root"),
+    ], ids=["parent-not-a-level-up", "ungrouped", "extendable-above-frontier",
+            "offsets-short-of-V", "offsets-decrease", "root-not-alone", "root-has-parent"])
+    def test_rejects(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            validate_tree(_hand_built(**fields))
+
+
+class TestBuildMemory:
+    def test_build_holds_and_peaks_at_few_bytes_per_vertex(self):
+        tracemalloc.start()
+        try:
+            t = build_truncation(HOM2, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # parent (8 B) and extendable (1 B) are held; the levels are
+        # concatenated into parent once
+        assert peak / t.n_vertices < 20
+        vertex_arrays = sorted(name for name, value in vars(t).items()
+                               if isinstance(value, np.ndarray)
+                               and len(value) == t.n_vertices)
+        assert vertex_arrays == ["extendable", "parent"]
 
 
 class TestCutsetHelpers:
