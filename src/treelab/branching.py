@@ -149,10 +149,6 @@ class BranchingEstimate:
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def to_json(self) -> dict:
-        return {"schema": 1, "lo": self.lo, "hi": self.hi,
-                "inconclusive": self.inconclusive, "note": self.note}
-
 
 def growth_rate(tree: Tree) -> float:
     """M_n**(1/n) at the truncation depth (1.0 for a depth-0 tree)."""

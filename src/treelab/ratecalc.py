@@ -208,36 +208,35 @@ class Distribution:
             table = self._images[image] = s[guide] if gap == 0 else s
         return table
 
-    def sample_values(self, key: int, counters, out=None, image=None) -> np.ndarray:
+    def sample_values(self, key: int, counters: range, out=None,
+                      image=None) -> np.ndarray:
         """Draw i.i.d. values keyed by (key, counter); reproducible, order-free.
 
         The value for counter c is s[searchsorted(cw, uniforms(key, c),
         "right")] over the sorted support s and cumulative weights cw, bit
         for bit; it is computed in integer space by `_guide`, one chunk of
-        mantissas at a time.  `counters` is a scalar, an array or a step-1
-        range (ids drawn with no id array).  `out`, a C-contiguous float64
-        array of the counters' shape, receives the values instead of a new
-        array.
+        mantissas at a time.  `counters` is a step-1 range of ids.  `out`, a
+        C-contiguous float64 array of length len(counters), receives the
+        values instead of a new array.
 
         `image`, an elementwise numpy function such as `np.log`, returns
         image(value) instead: a gather from `image_table(image)`, with the
         same bits as applying it to the drawn array (numpy's elementwise
         `log` and `exp` give one value for one input wherever it sits).
         """
-        c, shape = rng.flat_counters(counters)
+        n = len(counters)
         if out is None:
-            out = np.empty(shape, dtype=np.float64)
-        elif (out.shape != shape or out.dtype != np.float64
+            out = np.empty(n)
+        elif (out.shape != (n,) or out.dtype != np.float64
               or not out.flags.c_contiguous):
             raise ValueError("out must be a C-contiguous float64 array "
-                             "of the counters' shape")
+                             "of length len(counters)")
         vals = self.image_table(image)
         guide, t, shift, gap = self._guide
-        flat = out.reshape(-1)
-        idx = np.empty(min(flat.size, rng.CHUNK), dtype=np.intp)
+        idx = np.empty(min(n, rng.CHUNK), dtype=np.intp)
         thr = np.empty_like(idx)
-        for sl, m in rng.mantissa_chunks(key, c):
-            dst, ix, tx = flat[sl], idx[:len(m)], thr[:len(m)]
+        for sl, m in rng.mantissa_chunks(key, counters):
+            dst, ix, tx = out[sl], idx[:len(m)], thr[:len(m)]
             if gap < 0:
                 np.take(vals, np.searchsorted(t, m, side="right"), out=dst,
                         mode="clip")
@@ -251,7 +250,7 @@ class Distribution:
                 np.take(t, ix, out=tx, mode="clip")
                 ix += tx <= m
             np.take(vals, ix, out=dst, mode="clip")
-        return out if out.ndim else out[()]
+        return out
 
     # -- serialization ------------------------------------------------------
 

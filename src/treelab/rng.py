@@ -1,23 +1,26 @@
 """Counter-based splittable randomness.
 
-Every random quantity in this package is a pure function of a 64-bit key and
-a counter (usually a vertex id or a replicate index), in the counter-based
-design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC'11).  Samples are therefore independent of traversal order, chunking, and
-worker count, and any single replicate can be regenerated in isolation.  The
-mixer is the splitmix64 finalizer, which has full avalanche and is the
-standard choice for stateless keyed streams.
+Every keyed draw in this package is a pure function of a 64-bit key and a
+counter, in the counter-based design of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11).  The counters of one draw are a step-1
+`range` of ids in [0, 2**64): in the BFS layout every set of vertices a draw
+covers (the non-root ids, one level, one child group) is such a range.
+Samples are therefore independent of traversal order, chunking, and worker
+count, and any single replicate can be regenerated in isolation.  The mixer
+is the splitmix64 finalizer, which has full avalanche and is the standard
+choice for stateless keyed streams.  Sequential draws (walk steps, the
+trials of a homogeneous percolation chain) instead use `generator`, a PCG64
+stream per walk or trial seeded from `derive`, so they too are reproducible
+and independent of worker count.
 
-One kernel hashes counters a fixed-size chunk at a time with in-place
+`mantissa_chunks` hashes a range a fixed-size chunk at a time with in-place
 operations on reused scratch arrays, so no temporary grows with the number of
-draws.  Counters are a uint64 array or a step-1 `range`; for a range the
-prologue (c + 1) * golden + key is one pass, a read-only table of i * golden
-plus one constant per chunk, with the same wrapping uint64 arithmetic.
-`mantissa_chunks` yields its 53-bit mantissas m = hash_u64(key, c) >>
-11 chunk by chunk; `hash_u64` (before the shift) and `uniforms`
-(u = m * 2**-53) are whole-array views of it.  Because u = m * 2**-53
-exactly, a comparison u >= w against a double w in [0, 1] holds exactly when
-m >= ceil(w * 2**53): inverse-CDF sampling (`Distribution.sample_values`)
+draws.  The prologue (c + 1) * golden + key over a chunk is one pass: a
+read-only table of i * golden plus one constant per chunk, with wrapping
+uint64 arithmetic.  Each chunk yields the 53-bit mantissas m = hash >> 11,
+and `uniforms` returns u = m * 2**-53.  Because u = m * 2**-53 exactly, a
+comparison u >= w against a double w in [0, 1] holds exactly when m >=
+ceil(w * 2**53): inverse-CDF sampling (`Distribution.sample_values`)
 compares integers and never forms u.
 """
 
@@ -32,7 +35,6 @@ _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1_INT, _MIX2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _MIX1, _MIX2 = np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
-_ONE = np.uint64(1)
 
 MANTISSA_BITS = 53
 CHUNK = 1 << 16  # draws per kernel pass; every scratch array stays in cache
@@ -47,9 +49,9 @@ def _finalize(z: int) -> int:
 
 @functools.cache
 def _steps() -> np.ndarray:
-    """i * golden for i < CHUNK, the counter-range prologue: one read-only
-    table per process, made on the first range draw and filled in place
-    (threads drawing first at once may each make it, with the same values)."""
+    """i * golden for i < CHUNK, the prologue table: one read-only table per
+    process, made on the first draw and filled in place (threads drawing
+    first at once may each make it, with the same values)."""
     steps = np.arange(CHUNK, dtype=np.uint64)
     steps *= _GOLDEN
     steps.flags.writeable = False
@@ -57,21 +59,22 @@ def _steps() -> np.ndarray:
 
 
 def _counter_count(counters) -> int:
-    """The number of counters: a 1-D uint64 array or a step-1 range in
-    [0, 2**64)."""
+    """The number of counters in a step-1 range in [0, 2**64)."""
     if not isinstance(counters, range):
-        return counters.size
+        raise TypeError("counters must be a step-1 range of ids, "
+                        f"not {type(counters).__name__}")
     if counters.step != 1 or (counters and (counters.start < 0
                                             or counters.stop > _MASK64 + 1)):
         raise ValueError("a counter range must have step 1 and lie in [0, 2**64)")
     return len(counters)
 
 
-def _hash_chunks(key: int, counters, shift: int):
-    """Yield (slice, hash >> shift) over CHUNK-sized pieces of `counters`, a
-    1-D uint64 array or a step-1 range.
+def mantissa_chunks(key: int, counters: range):
+    """Yield (slice, m) over CHUNK-sized pieces of `counters`, a step-1
+    range, with m = splitmix64(key + (c + 1) * golden) >> 11 as int64.
 
-    The yielded array is a reused scratch buffer, valid until the next step.
+    Each m is a reused scratch buffer (0 <= m < 2**53), valid only until the
+    next step.
     """
     n = _counter_count(counters)
     z = np.empty(min(n, CHUNK), dtype=np.uint64)
@@ -80,67 +83,26 @@ def _hash_chunks(key: int, counters, shift: int):
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         zc, tc = z[:hi - lo], t[:hi - lo]
-        if isinstance(counters, range):
-            # (start + lo + i + 1) * golden + key = i * golden + this constant
-            base = ((counters.start + lo + 1) * _GOLDEN_INT + k) & _MASK64
-            np.add(_steps()[:hi - lo], np.uint64(base), out=zc)
-        else:
-            np.add(counters[lo:hi], _ONE, out=zc)
-            np.multiply(zc, _GOLDEN, out=zc)
-            np.add(zc, np.uint64(k), out=zc)
+        # (start + lo + i + 1) * golden + key = i * golden + this constant
+        base = ((counters.start + lo + 1) * _GOLDEN_INT + k) & _MASK64
+        np.add(_steps()[:hi - lo], np.uint64(base), out=zc)
         for s, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(zc, s, out=tc)
             np.bitwise_xor(zc, tc, out=zc)
             np.multiply(zc, mix, out=zc)
         np.right_shift(zc, 31, out=tc)
         np.bitwise_xor(zc, tc, out=zc)
-        if shift:
-            np.right_shift(zc, shift, out=zc)
-        yield slice(lo, hi), zc
+        np.right_shift(zc, 64 - MANTISSA_BITS, out=zc)
+        yield slice(lo, hi), zc.view(np.int64)
 
 
-def mantissa_chunks(key: int, counters):
-    """Yield (slice, m) with m = hash_u64(key, counters[slice]) >> 11 as int64.
-
-    `counters` must be a 1-D uint64 array or a step-1 range.  Each m is a
-    reused scratch buffer (0 <= m < 2**53), valid only until the next step.
-    """
-    for sl, z in _hash_chunks(key, counters, 64 - MANTISSA_BITS):
-        yield sl, z.view(np.int64)
-
-
-def flat_counters(counters) -> tuple[range | np.ndarray, tuple]:
-    """`counters` as the kernel takes them (a step-1 range as it is, anything
-    else as a flat uint64 array) and the shape of the values drawn for them."""
-    if isinstance(counters, range):
-        return counters, (len(counters),)
-    c = np.asarray(counters, dtype=np.uint64)
-    return c.reshape(-1), c.shape
-
-
-def _map_chunks(key: int, counter, shift: int, dtype, scale=None) -> np.ndarray:
-    c, shape = flat_counters(counter)
-    out = np.empty(shape, dtype=dtype)
-    flat = out.reshape(-1)
-    for sl, z in _hash_chunks(key, c, shift):
-        if scale is None:
-            flat[sl] = z
-        else:
-            np.multiply(z, scale, out=flat[sl])
-    return out if out.ndim else out[()]
-
-
-def hash_u64(key: int, counter) -> np.ndarray:
-    """Hash (key, counter) pairs to uint64.  `counter` may be a scalar, an
-    array or a step-1 range."""
-    return _map_chunks(key, counter, 0, np.uint64)
-
-
-def uniforms(key: int, counter) -> np.ndarray:
-    """Uniform doubles in [0, 1), one per counter, reproducible by (key,
-    counter).  `counter` may be a scalar, an array or a step-1 range."""
-    return _map_chunks(key, counter, 64 - MANTISSA_BITS, np.float64,
-                       2.0 ** -MANTISSA_BITS)
+def uniforms(key: int, counters: range) -> np.ndarray:
+    """Uniform doubles in [0, 1), one per counter of a step-1 range,
+    reproducible by (key, counter)."""
+    out = np.empty(_counter_count(counters))
+    for sl, m in mantissa_chunks(key, counters):
+        np.multiply(m, 2.0 ** -MANTISSA_BITS, out=out[sl])
+    return out
 
 
 def derive(key: int, *tags: int) -> int:

@@ -64,10 +64,6 @@ class ClassificationReport:
     witnesses: dict = field(default_factory=dict)
     notes: str = ""
 
-    @property
-    def branching_mid(self) -> float:
-        return 0.5 * (self.branching_lo + self.branching_hi)
-
     def to_json(self) -> dict:
         return jsonable({
             "schema": 1,
@@ -392,11 +388,6 @@ class EscapeEstimate:
     trials: int
     exact: float  # conductance identity on the same environment
 
-    def to_json(self) -> dict:
-        return {"schema": 1, "probability": self.probability,
-                "stderr": self.stderr, "successes": self.successes,
-                "trials": self.trials, "exact": self.exact}
-
 
 def escape_probability_exact(env: Environment, depth: int) -> float:
     """P(reach `depth` before returning to the root), by the network identity:
@@ -471,12 +462,6 @@ class GwFlowResult:
     @property
     def final(self) -> FlowIterationStats:
         return self.rows[-1]
-
-    def rows_as_dicts(self) -> list[dict]:
-        return [{"iteration": r.iteration, "mean_flow": r.mean_flow,
-                 "mean_capped": r.mean_capped, "max_flow": r.max_flow,
-                 "stderr": r.stderr, "predicted_mean": r.predicted_mean}
-                for r in self.rows]
 
 
 def gw_flow_iterate(law: Distribution, offspring: Distribution, x: float,

@@ -586,10 +586,6 @@ def contract_k(tree: Tree, k: int) -> Tree:
     if tree.truncation_depth % k != 0:
         raise ValidationError(
             f"truncation depth {tree.truncation_depth} is not divisible by {k}")
-    if k == 1:
-        return Tree(parent=tree.parent, extendable=tree.extendable,
-                    level_offsets=tree.level_offsets,
-                    source_vertices=np.arange(tree.n_vertices, dtype=np.int64))
     kept = [tree.level_slice(j) for j in range(0, tree.truncation_depth + 1, k)]
     src = np.concatenate([np.arange(sl.start, sl.stop, dtype=np.int64) for sl in kept])
     anc = src

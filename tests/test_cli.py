@@ -162,6 +162,17 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["rate", "--dist", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [["rate", "--dist", "{}.json"],
+                                      ["tree", "--tree", "{}.json", "--depth", "3"],
+                                      ["tree", "--tree", "{}.txt", "--depth", "3"]])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "bytes")
+        argv = [arg.format(path) for arg in argv]
+        with open(argv[2], "wb") as fh:
+            fh.write(bytes(range(128, 256)) * 4)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_resource_cap_exit(self, files):
         assert main(["tree", "--tree", files["hom2"], "--depth", "40"]) == 3
 

@@ -58,10 +58,10 @@ class TestOneArraySample:
         out = []
         for i, tree in enumerate(assorted_trees(seeded_rng)):
             law = random_x_law(seeded_rng)
-            # the same keyed counters, passed as an id array, not a range
+            # the same keyed counters, drawn by the whole-array oracle
             x = np.zeros(tree.n_vertices)
-            x[1:] = law.sample_values(
-                rng.derive(i, fpp._TAG_PASSAGE),
+            x[1:] = oracles.sample_by_searchsorted(
+                law, rng.derive(i, fpp._TAG_PASSAGE),
                 np.arange(1, tree.n_vertices, dtype=np.uint64))
             out.append((sample_passage_times(tree, law, i), x))
         return out

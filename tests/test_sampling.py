@@ -1,5 +1,6 @@
 """The chunked sampling kernel against whole-array oracles, bit for bit."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -50,37 +51,54 @@ def laws(draw):
 
 
 @st.composite
-def counter_arrays(draw):
-    """Counter arrays of the chunk-edge lengths, contiguous or strided."""
+def counter_ranges(draw):
+    """Id ranges of the chunk-edge lengths from a random start, up to ranges
+    that end at 2**64."""
     n = draw(st.sampled_from(CHUNK_LENGTHS))
-    seed = draw(st.integers(0, 2**32 - 1))
-    step = draw(st.sampled_from((1, 2, -1, -3)))
-    base = np.random.default_rng(seed).integers(0, 2**64, size=n * abs(step),
-                                                dtype=np.uint64)
-    return base[::step] if step > 0 else base[::step][:n]
+    start = draw(st.one_of(st.integers(0, 2**64 - n), st.just(2**64 - n)))
+    return range(start, start + n)
+
+
+def _ids(c: range) -> np.ndarray:
+    """The counters of a range as the uint64 array the oracles take."""
+    return np.arange(c.start, c.stop, dtype=np.uint64)
+
+
+def _assert_kernel_matches_oracles(key: int, c: range) -> None:
+    """`mantissa_chunks` (its chunk slices and mantissas) and `uniforms`
+    against the oracles' whole-array expression over the same ids."""
+    want = (oracles.splitmix_hash(key, _ids(c)) >> np.uint64(11)).astype(np.int64)
+    got = [(sl, m.copy()) for sl, m in rng.mantissa_chunks(key, c)]
+    assert [sl for sl, _ in got] == [slice(lo, min(lo + rng.CHUNK, len(c)))
+                                     for lo in range(0, len(c), rng.CHUNK)]
+    for sl, m in got:
+        assert_bits_equal(m, want[sl])
+    assert_bits_equal(rng.uniforms(key, c), oracles.splitmix_uniforms(key, _ids(c)))
 
 
 class TestKernel:
     @settings(max_examples=60, deadline=None)
-    @given(KEYS, counter_arrays())
+    @given(KEYS, counter_ranges())
     def test_hash_and_uniforms_match_whole_array_expression(self, key, c):
-        assert_bits_equal(rng.hash_u64(key, c), oracles.splitmix_hash(key, c))
-        assert_bits_equal(rng.uniforms(key, c), oracles.splitmix_uniforms(key, c))
+        _assert_kernel_matches_oracles(key, c)
 
-    @pytest.mark.parametrize("key", [0, 5, 2**63, 2**63 + 11, 2**64 - 1, -3])
-    def test_scalar_and_2d_counters(self, key):
-        for c in (np.uint64(7), 0, np.arange(12, dtype=np.uint64).reshape(3, 4).T):
-            assert_bits_equal(rng.uniforms(key, c), oracles.splitmix_uniforms(key, c))
-            assert_bits_equal(rng.hash_u64(key, c), oracles.splitmix_hash(key, c))
-        assert isinstance(rng.uniforms(key, 3), np.float64)
+    @pytest.mark.parametrize("counters", [np.arange(4, dtype=np.uint64),
+                                          np.uint64(3), 3, [0, 1, 2]])
+    def test_non_range_counters_rejected(self, counters):
+        with pytest.raises(TypeError):
+            rng.uniforms(1, counters)
+        with pytest.raises(TypeError):
+            next(rng.mantissa_chunks(1, counters))
+        with pytest.raises(TypeError):
+            NAMED_LAWS["X32"].sample_values(1, counters)
 
 
 class TestSampleValues:
     @settings(max_examples=80, deadline=None)
-    @given(laws(), KEYS, counter_arrays())
+    @given(laws(), KEYS, counter_ranges())
     def test_matches_searchsorted_oracle(self, law, key, c):
         assert_bits_equal(law.sample_values(key, c),
-                          oracles.sample_by_searchsorted(law, key, c))
+                          oracles.sample_by_searchsorted(law, key, _ids(c)))
 
     @pytest.mark.parametrize("weights", [
         (0.5, 0.25, 0.25),
@@ -91,33 +109,26 @@ class TestSampleValues:
     ])
     def test_thresholds_on_bucket_edges(self, weights):
         law = _law(1, weights)
-        c = np.arange(3 * rng.CHUNK + 5, dtype=np.uint64)
+        c = range(3 * rng.CHUNK + 5)
         for key in (3, 2**63 + 1):
             assert_bits_equal(law.sample_values(key, c),
-                              oracles.sample_by_searchsorted(law, key, c))
+                              oracles.sample_by_searchsorted(law, key, _ids(c)))
 
     @pytest.mark.parametrize("name", sorted(NAMED_LAWS))
     def test_named_laws_over_a_depth_20_tree(self, name):
         law = NAMED_LAWS[name]
-        c = np.arange(1, 2**21, dtype=np.uint64)
+        c = range(1, 2**21)
         assert_bits_equal(law.sample_values(601, c),
-                          oracles.sample_by_searchsorted(law, 601, c))
+                          oracles.sample_by_searchsorted(law, 601, _ids(c)))
 
     def test_wide_buckets_fall_back_to_binary_search(self):
         weights = np.full(4096, 1e-12)
         weights[0] = 1.0 - 4095e-12
         law = _law(2, weights)
         assert law._guide[3] == -1
-        c = np.arange(rng.CHUNK + 9, dtype=np.uint64)
+        c = range(rng.CHUNK + 9)
         assert_bits_equal(law.sample_values(9, c),
-                          oracles.sample_by_searchsorted(law, 9, c))
-
-    def test_scalar_counter(self):
-        law = NAMED_LAWS["X32"]
-        for c in (0, 17, np.uint64(2**63)):
-            got = law.sample_values(4, c)
-            assert isinstance(got, np.float64)
-            assert got == oracles.sample_by_searchsorted(law, 4, c)
+                          oracles.sample_by_searchsorted(law, 9, _ids(c)))
 
 
 def _exp_log(a):
@@ -156,7 +167,7 @@ class TestImageTables:
     same bits as f over the drawn values."""
 
     @settings(max_examples=80, deadline=None)
-    @given(positive_laws(), KEYS, counter_arrays())
+    @given(positive_laws(), KEYS, counter_ranges())
     def test_image_draws_match_images_of_draws(self, law, key, c):
         drawn = law.sample_values(key, c)
         assert_bits_equal(law.sample_values(key, c, image=np.log), np.log(drawn))
@@ -168,12 +179,10 @@ class TestImageTables:
         law = _positive_law(_PATH_WEIGHTS[path])
         gap = law._guide[3]
         assert {"gap0": gap == 0, "gap>0": gap > 0, "search": gap == -1}[path]
-        c = np.arange(2 * rng.CHUNK + 3, dtype=np.uint64)
+        c = range(2 * rng.CHUNK + 3)
         drawn = law.sample_values(17, c)
         for image in (np.log, _exp_log):
             assert_bits_equal(law.sample_values(17, c, image=image), image(drawn))
-            assert_bits_equal(law.sample_values(17, range(len(c)), image=image),
-                              image(drawn))
 
     def test_tables_are_cached_per_image(self):
         law = _positive_law((0.3, 0.7))
@@ -200,31 +209,27 @@ RANGE_STARTS = (0, 1, 12345, 2**63 - 7, 2**64 - rng.CHUNK - 3, 2**64)
 
 
 class TestRangeCounters:
-    """A step-1 range of counters hashes like the same counters as an array,
-    including ranges that end at 2**64, where (c + 1) * golden wraps."""
+    """A step-1 range of counters hashes like the oracles' whole-array
+    expression over the same ids, including ranges that end at 2**64, where
+    (c + 1) * golden wraps."""
 
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     @pytest.mark.parametrize("start", RANGE_STARTS)
     def test_mantissas_and_values(self, n, start):
         start = min(start, 2**64 - n)
         ids = range(start, start + n)
-        arr = np.arange(start, start + n, dtype=np.uint64)
         key = 2**64 - 1 - start % 1000
-        got = [(sl, m.copy()) for sl, m in rng.mantissa_chunks(key, ids)]
-        want = [(sl, m.copy()) for sl, m in rng.mantissa_chunks(key, arr)]
-        assert [sl for sl, _ in got] == [sl for sl, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert_bits_equal(a, b)
+        _assert_kernel_matches_oracles(key, ids)
         law = NAMED_LAWS["X32"]
-        assert_bits_equal(law.sample_values(key, ids), law.sample_values(key, arr))
-        assert_bits_equal(rng.uniforms(key, ids), oracles.splitmix_uniforms(key, arr))
-        assert_bits_equal(rng.hash_u64(key, ids), oracles.splitmix_hash(key, arr))
+        assert_bits_equal(law.sample_values(key, ids),
+                          oracles.sample_by_searchsorted(law, key, _ids(ids)))
 
     def test_out_receives_range_draws(self):
         law = NAMED_LAWS["A2"]
         out = np.zeros(11)
         law.sample_values(6, range(1, 12), out=out)
-        assert_bits_equal(out, law.sample_values(6, np.arange(1, 12, dtype=np.uint64)))
+        assert_bits_equal(out, oracles.sample_by_searchsorted(law, 6,
+                                                              _ids(range(1, 12))))
 
     @pytest.mark.parametrize("ids", [range(0, 10, 2), range(10, 0, -1),
                                      range(-1, 3), range(2**64 - 1, 2**64 + 1)])
@@ -249,9 +254,36 @@ def _boundary_mantissas(law: Distribution) -> np.ndarray:
     return m[(m >= 0) & (m < 2**53)].astype(np.uint64)
 
 
+@contextlib.contextmanager
+def _fed_mantissas(m: np.ndarray):
+    """Make the kernel yield the mantissas `m` for range(len(m)), CHUNK at a
+    time, as if the ids hashed onto them."""
+    m = m.astype(np.int64)
+
+    def chunks(key, counters):
+        assert counters == range(len(m))
+        for lo in range(0, len(m), rng.CHUNK):
+            hi = min(lo + rng.CHUNK, len(m))
+            yield slice(lo, hi), m[lo:hi].copy()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "mantissa_chunks", chunks)
+        yield range(len(m))
+
+
+def _draws_at(law: Distribution, key: int, m: np.ndarray) -> tuple:
+    """`sample_values` where the kernel yields the mantissas `m`, and the
+    oracle's draws for counters that hash onto them."""
+    with _fed_mantissas(m) as ids:
+        got = law.sample_values(key, ids)
+    return got, oracles.sample_by_searchsorted(
+        law, key, oracles.counters_for_mantissas(key, m))
+
+
 class TestExactBoundaries:
-    """Counters built to hash onto each threshold and bucket edge exactly;
-    random counters land there with probability about 2**-53 per draw."""
+    """Sampling fed each threshold and bucket edge exactly, judged by the
+    oracle on counters built to hash there; random counters land there with
+    probability about 2**-53 per draw."""
 
     @pytest.mark.parametrize("key", [0, 12345, 2**63 + 7])
     def test_inverted_hash_hits_the_requested_mantissas(self, key):
@@ -269,24 +301,18 @@ class TestExactBoundaries:
     ])
     def test_named_boundaries(self, weights):
         law = _law(3, weights)
-        c = oracles.counters_for_mantissas(99, _boundary_mantissas(law))
-        assert_bits_equal(law.sample_values(99, c),
-                          oracles.sample_by_searchsorted(law, 99, c))
+        assert_bits_equal(*_draws_at(law, 99, _boundary_mantissas(law)))
 
     @settings(max_examples=60, deadline=None)
     @given(laws(), KEYS)
     def test_random_laws_at_their_thresholds(self, law, key):
-        c = oracles.counters_for_mantissas(key, _boundary_mantissas(law))
-        assert_bits_equal(law.sample_values(key, c),
-                          oracles.sample_by_searchsorted(law, key, c))
+        assert_bits_equal(*_draws_at(law, key, _boundary_mantissas(law)))
 
     def test_wide_buckets_at_their_thresholds(self):
         weights = np.full(4096, 1e-12)
         weights[0] = 1.0 - 4095e-12
         law = _law(2, weights)
-        c = oracles.counters_for_mantissas(5, _boundary_mantissas(law))
-        assert_bits_equal(law.sample_values(5, c),
-                          oracles.sample_by_searchsorted(law, 5, c))
+        assert_bits_equal(*_draws_at(law, 5, _boundary_mantissas(law)))
 
 
 class TestSweepDown:
@@ -302,8 +328,7 @@ class TestSweepDown:
 
     def test_matches_vertex_loop_across_chunks(self):
         tree = build_truncation(TreeSpec.homogeneous(2), 17)
-        vals = NAMED_LAWS["X32"].sample_values(8, np.arange(tree.n_vertices,
-                                                           dtype=np.uint64))
+        vals = NAMED_LAWS["X32"].sample_values(8, range(tree.n_vertices))
         vals[0] = 0.0
         before = vals.copy()
         assert_bits_equal(tree.sweep_down(vals),

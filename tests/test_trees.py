@@ -182,8 +182,11 @@ class TestContraction:
     def test_identity(self):
         t = build_truncation(HOM2, 4)
         c = contract_k(t, 1)
-        assert np.array_equal(c.parent, t.parent)
+        for name in ("parent", "extendable", "level_offsets"):
+            assert np.array_equal(getattr(c, name), getattr(t, name))
         assert np.array_equal(c.source_vertices, np.arange(t.n_vertices))
+        for arr in (c.parent, c.extendable, c.level_offsets, c.source_vertices):
+            assert not arr.flags.writeable
 
     def test_homogeneous_square(self):
         c = contract_k(build_truncation(HOM2, 4), 2)
