@@ -586,6 +586,11 @@ def contract_k(tree: Tree, k: int) -> Tree:
     if tree.truncation_depth % k != 0:
         raise ValidationError(
             f"truncation depth {tree.truncation_depth} is not divisible by {k}")
+    if k == 1:
+        # views share the memory but freeze without touching the caller's flags
+        return Tree(parent=tree.parent.view(), extendable=tree.extendable.view(),
+                    level_offsets=tree.level_offsets.view(),
+                    source_vertices=np.arange(tree.n_vertices, dtype=np.int64))._freeze()
     kept = [tree.level_slice(j) for j in range(0, tree.truncation_depth + 1, k)]
     src = np.concatenate([np.arange(sl.start, sl.stop, dtype=np.int64) for sl in kept])
     anc = src

@@ -15,7 +15,7 @@ from conftest import (X32, assert_bits_equal, assorted_trees,
                       random_explicit_spec, table_depth)
 import oracles
 
-KEYS = st.integers(min_value=0, max_value=2**64 - 1)
+KEYS = st.integers(min_value=-2**63, max_value=2**64 - 1)
 CHUNK_LENGTHS = (0, 1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1)
 
 NAMED_LAWS = {
