@@ -452,8 +452,7 @@ def main(argv=None) -> int:
     except UnsupportedCaseError as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValidationError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -279,8 +280,8 @@ class Distribution:
 
     @classmethod
     def load(cls, path) -> "Distribution":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(json.loads(
+            parse(bytes.decode, Path(path).read_bytes(), f"UTF-8 in {path}")))
 
 
 # ---------------------------------------------------------------------------

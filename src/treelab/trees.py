@@ -6,7 +6,9 @@ which makes each level a contiguous id range, keeps children of one parent
 contiguous, and makes truncations at different depths prefix-consistent.
 A tree stores two arrays per vertex, `parent` and `extendable`, and one
 offset per level: level k is the id range [level_offsets[k],
-level_offsets[k+1]), so a vertex's depth is found from its id.
+level_offsets[k+1]), so a vertex's depth is found from its id.  An explicit
+parent table is renumbered in the order of one BFS pass that visits children
+in id order: by depth, then by the parent's new id, then by the old id.
 Frontier vertices carry an `extendable` flag: True when the generator would
 give them successors beyond the window.  Dead-end leaves (vertices the
 generator stops at for good) stay non-extendable, so cut and flow semantics
@@ -20,7 +22,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +47,13 @@ def _int_tuple(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def effective_vertex_cap(override: int | None = None) -> int:
-    """Effective vertex budget: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
+def effective_vertex_cap() -> int:
+    """The vertex budget: the env var when set, else the default."""
     env = os.environ.get(_CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    cap = parse(int, env, _CAP_ENV_VAR) if env else DEFAULT_VERTEX_CAP
+    if cap < 1:
+        raise ValidationError(f"{_CAP_ENV_VAR} must be >= 1, got {cap}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +75,7 @@ class TreeSpec:
     offspring: Distribution | None = None
     seed: int | None = None
     condition_nonextinct: bool = False
-    leaf_rule: str | int | tuple[int, ...] | Callable[[int], int] = "pow2_minus_one"
+    leaf_rule: str | int | tuple[int, ...] = "pow2_minus_one"
     parents: tuple[int, ...] | None = None
     extendable_ids: tuple[int, ...] | None = None
 
@@ -124,9 +128,7 @@ class TreeSpec:
     def leaf_count_at(self, depth: int) -> int:
         """Leaves attached to the spine vertex at the given depth."""
         r = self.leaf_rule
-        if callable(r):
-            n = r(depth)
-        elif isinstance(r, str):
+        if isinstance(r, str):
             if r not in _SPINE_RULES:
                 raise ValidationError(f"unknown leaf rule {r!r}")
             n = _SPINE_RULES[r](depth)
@@ -167,8 +169,6 @@ class TreeSpec:
             doc["seed"] = self.seed
             doc["condition_nonextinct"] = self.condition_nonextinct
         elif self.kind == "spine_with_leaves":
-            if callable(self.leaf_rule):
-                raise ValidationError("callable leaf rules are not serializable")
             doc["leaf_rule"] = (list(self.leaf_rule)
                                 if isinstance(self.leaf_rule, tuple) else self.leaf_rule)
         elif self.kind == "explicit":
@@ -208,8 +208,8 @@ class TreeSpec:
 
     @classmethod
     def load(cls, path) -> "TreeSpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(json.loads(
+            parse(bytes.decode, Path(path).read_bytes(), f"UTF-8 in {path}")))
 
 
 def load_parent_list(path) -> TreeSpec:
@@ -217,13 +217,9 @@ def load_parent_list(path) -> TreeSpec:
 
     Token i (0-based) is the parent id of vertex i+1; vertex 0 is the root.
     """
-    with open(path) as fh:
-        tokens = fh.read().split()
-    try:
-        parents = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValidationError(f"parent list file: {exc}")
-    return TreeSpec.explicit(parents)
+    text = parse(bytes.decode, Path(path).read_bytes(), f"UTF-8 in {path}")
+    return TreeSpec(kind="explicit",
+                    parents=parse(_int_tuple, text.split(), f"parent id in {path}"))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +369,8 @@ def validate_tree(tree: Tree) -> None:
         raise ValidationError("root must be vertex 0, alone at depth 0")
     if np.any(np.diff(off) < 0) or off[-1] != v:
         raise ValidationError("level offsets must be nondecreasing and end at V")
-    for k in range(1, tree.truncation_depth + 1):
-        if np.any(tree.depth_of(tree.parent[tree.level_slice(k)]) != k - 1):
-            raise ValidationError("each parent must lie in the level above its child")
+    if np.any(tree.depth_of(tree.parent[1:]) != tree.depth_of(np.arange(1, v)) - 1):
+        raise ValidationError("each parent must lie in the level above its child")
     # with each parent a level up, this is the grouping within every level
     if np.any(np.diff(tree.parent[1:]) < 0):
         raise ValidationError("children of a level must be grouped by parent")
@@ -387,7 +382,7 @@ def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ResourceCapError(
             f"truncation needs {n} vertices, over the budget of {cap} "
-            f"(raise via {_CAP_ENV_VAR} or vertex_cap=)"
+            f"(raise via {_CAP_ENV_VAR})"
         )
 
 
@@ -455,72 +450,56 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
 
 
 def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
-    parents = spec.parents
-    n = len(parents) + 1
+    n = len(spec.parents) + 1
     _check_cap(n, cap)
     kids: list[list[int]] = [[] for _ in range(n)]
-    for child0, par in enumerate(parents):
-        child = child0 + 1
+    for child, par in enumerate(spec.parents, 1):
         if not (0 <= par < n) or par == child:
             raise ValidationError(f"vertex {child} has bad parent {par}")
         kids[par].append(child)
-    # BFS from the root; anything unreached means a cycle or disconnection
-    order = [0]
-    depth_of = {0: 0}
-    for v in order:
-        for c in kids[v]:
-            depth_of[c] = depth_of[v] + 1
-            order.append(c)
+    # BFS from the root, children in id order: the visiting order is the new
+    # numbering, and level k starts at order[bounds[k]]
+    order, bounds = [0], [0, 1]
+    while bounds[-2] < bounds[-1]:
+        for v in order[bounds[-2]:bounds[-1]]:
+            order.extend(kids[v])
+        bounds.append(len(order))
+    # anything unreached means a cycle or disconnection
     if len(order) != n:
         raise ValidationError("explicit table is not a single rooted tree")
-    table_depth = max(depth_of.values())
-    marked = set(spec.extendable_ids) if spec.extendable_ids is not None else None
-    if depth > table_depth:
+    table_depth = len(bounds) - 3
+    if depth > table_depth and (spec.extendable_ids is None or spec.extendable_ids):
         # only legitimate when the table declares itself finite: nothing may
         # claim to extend past where it actually stops
-        if marked is None or marked:
-            raise ValidationError(
-                f"explicit table reaches depth {table_depth}, not {depth} "
-                "(mark dead ends by passing extendable=[])")
+        raise ValidationError(
+            f"explicit table reaches depth {table_depth}, not {depth} "
+            "(mark dead ends by passing extendable=[])")
 
-    by_level: dict[int, list[int]] = {}
-    for v in order:
-        if depth_of[v] <= depth:
-            by_level.setdefault(depth_of[v], []).append(v)
-    new_id = {0: 0}
-    keep = [0]
-    for d in range(1, depth + 1):
-        # BFS ids: children of one parent stay contiguous within their level
-        for v in sorted(by_level.get(d, ()),
-                        key=lambda v: (new_id[parents[v - 1]], v)):
-            new_id[v] = len(keep)
-            keep.append(v)
-    parent = np.array([-1] + [new_id[parents[v - 1]] for v in keep[1:]],
-                      dtype=np.int64)
-    sizes = [0] + [len(by_level.get(d, ())) for d in range(depth + 1)]
-    ext = np.zeros(len(keep), dtype=bool)
-    for v in keep:
-        if depth_of[v] != depth:
-            if marked is not None and v in marked and not kids[v]:
-                raise ValidationError(
-                    f"vertex {v} is marked extendable but the table stops at "
-                    f"depth {depth_of[v]} < {depth}")
-            continue
-        if marked is None:
-            ext[new_id[v]] = depth_of[v] == table_depth or bool(kids[v])
-        else:
-            ext[new_id[v]] = v in marked or any(
-                depth_of[c] > depth for c in kids[v])
-    # ensure BFS child grouping (keep was sorted by (depth, id), and parents of
-    # a level are visited in id order, so groups are already contiguous)
-    tree = Tree(parent=parent, extendable=ext,
-                level_offsets=np.cumsum(sizes, dtype=np.int64))
+    offsets = np.array(bounds[:depth + 2] + [n] * (depth + 2 - len(bounds)), dtype=np.int64)
+    front, cut = int(offsets[-2]), int(offsets[-1])
+    order = np.array(order, dtype=np.int64)
+    n_kids = np.fromiter(map(len, kids), np.int64, n)[order[:cut]]
+    marked = np.zeros(n, dtype=bool)
+    if spec.extendable_ids is None:
+        marked[order[bounds[table_depth]:]] = True  # the deepest level continues
+    else:
+        marked[[v for v in spec.extendable_ids if 0 <= v < n]] = True
+    marked = marked[order[:cut]]
+    # children of a parent are contiguous and follow their parents' order
+    parent = np.concatenate(([-1], np.repeat(np.arange(front), n_kids[:front])))
+    ext = np.zeros(cut, dtype=bool)
+    ext[front:] = marked[front:] | (n_kids[front:] > 0)
+    tree = Tree(parent=parent, extendable=ext, level_offsets=offsets)
+    stops = np.flatnonzero(marked[:front] & (n_kids[:front] == 0))
+    if len(stops):
+        raise ValidationError(
+            f"vertex {order[stops[0]]} is marked extendable but the table stops at "
+            f"depth {tree.depth_of(stops[0])} < {depth}")
     validate_tree(tree)
     return tree._freeze()
 
 
-def build_truncation(spec: TreeSpec, depth: int, *,
-                     vertex_cap: int | None = None) -> Tree:
+def build_truncation(spec: TreeSpec, depth: int) -> Tree:
     """Materialize the depth-`depth` truncation of the spec's infinite tree.
 
     Deterministic for a fixed (spec, depth); family trees are keyed by
@@ -529,7 +508,7 @@ def build_truncation(spec: TreeSpec, depth: int, *,
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    cap = effective_vertex_cap(vertex_cap)
+    cap = effective_vertex_cap()
     if spec.kind == "homogeneous":
         return _build_homogeneous(spec.b, depth, cap)
     if spec.kind == "spine_with_leaves":

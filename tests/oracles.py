@@ -392,6 +392,69 @@ def depths_by_climbing(tree) -> np.ndarray:
     return depth
 
 
+def canonicalize_explicit_by_dicts(spec, depth: int):
+    """(parent, extendable, level_offsets) of the depth-`depth` truncation of
+    an explicit spec, vertex by vertex: depths in a dict from a BFS, each
+    level sorted by (parent's new id, old id), new ids in a dict and the
+    marked ids in a set.  Raises the library's ValidationError for a table
+    the library rejects, with the same message."""
+    from treelab.errors import ValidationError
+
+    parents = spec.parents
+    n = len(parents) + 1
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for child0, par in enumerate(parents):
+        child = child0 + 1
+        if not (0 <= par < n) or par == child:
+            raise ValidationError(f"vertex {child} has bad parent {par}")
+        kids[par].append(child)
+    # BFS from the root; anything unreached means a cycle or disconnection
+    order = [0]
+    depth_of = {0: 0}
+    for v in order:
+        for c in kids[v]:
+            depth_of[c] = depth_of[v] + 1
+            order.append(c)
+    if len(order) != n:
+        raise ValidationError("explicit table is not a single rooted tree")
+    table_depth = max(depth_of.values())
+    marked = set(spec.extendable_ids) if spec.extendable_ids is not None else None
+    if depth > table_depth:
+        if marked is None or marked:
+            raise ValidationError(
+                f"explicit table reaches depth {table_depth}, not {depth} "
+                "(mark dead ends by passing extendable=[])")
+
+    by_level: dict[int, list[int]] = {}
+    for v in order:
+        if depth_of[v] <= depth:
+            by_level.setdefault(depth_of[v], []).append(v)
+    new_id = {0: 0}
+    keep = [0]
+    for d in range(1, depth + 1):
+        for v in sorted(by_level.get(d, ()),
+                        key=lambda v: (new_id[parents[v - 1]], v)):
+            new_id[v] = len(keep)
+            keep.append(v)
+    parent = np.array([-1] + [new_id[parents[v - 1]] for v in keep[1:]],
+                      dtype=np.int64)
+    sizes = [0] + [len(by_level.get(d, ())) for d in range(depth + 1)]
+    ext = np.zeros(len(keep), dtype=bool)
+    for v in keep:
+        if depth_of[v] != depth:
+            if marked is not None and v in marked and not kids[v]:
+                raise ValidationError(
+                    f"vertex {v} is marked extendable but the table stops at "
+                    f"depth {depth_of[v]} < {depth}")
+            continue
+        if marked is None:
+            ext[new_id[v]] = depth_of[v] == table_depth or bool(kids[v])
+        else:
+            ext[new_id[v]] = v in marked or any(
+                depth_of[c] > depth for c in kids[v])
+    return parent, ext, np.cumsum(sizes, dtype=np.int64)
+
+
 def level_parents_by_search(tree, k: int) -> tuple[list[int], int]:
     """Each level-k vertex's parent's position among the level-(k-1) ids, by
     listing the vertices of each depth; and the size of level k - 1."""

@@ -171,10 +171,18 @@ class TestExitCodes:
         with open(argv[2], "wb") as fh:
             fh.write(bytes(range(128, 256)) * 4)
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and argv[2] in err
 
     def test_resource_cap_exit(self, files):
         assert main(["tree", "--tree", files["hom2"], "--depth", "40"]) == 3
+
+    @pytest.mark.parametrize("cap", ["abc", "-5", "0"])
+    def test_bad_vertex_cap_is_config_error(self, files, capsys, monkeypatch, cap):
+        monkeypatch.setenv("TREELAB_VERTEX_CAP", cap)
+        assert main(["tree", "--tree", files["hom2"], "--depth", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "TREELAB_VERTEX_CAP" in err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("argv", [
@@ -259,7 +267,8 @@ class TestExitCodes:
         spec = tmp_path / "parents.txt"
         spec.write_text("0 0 x 1\n")
         assert main(["tree", "--tree", str(spec), "--depth", "3"]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and str(spec) in err
 
     @pytest.mark.parametrize("grid", ["abc", "0:a:1"])
     def test_malformed_grid_is_config_error(self, files, capsys, grid):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treelab.errors import ResourceCapError, ValidationError
 from treelab.networks import sample_environment
@@ -82,12 +83,14 @@ class TestBuild:
         assert np.array_equal(truncate(deep, 3).extendable,
                               build_truncation(HOM2, 3).extendable)
 
-    def test_vertex_budget(self):
+    def test_vertex_budget(self, monkeypatch):
         with pytest.raises(ResourceCapError):
             build_truncation(HOM2, 30)
+        monkeypatch.setenv("TREELAB_VERTEX_CAP", "1000")
         with pytest.raises(ResourceCapError):
-            build_truncation(HOM2, 12, vertex_cap=1000)
-        assert build_truncation(HOM2, 12, vertex_cap=10_000).n_vertices == 8191
+            build_truncation(HOM2, 12)
+        monkeypatch.setenv("TREELAB_VERTEX_CAP", "10000")
+        assert build_truncation(HOM2, 12).n_vertices == 8191
 
     def test_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("TREELAB_VERTEX_CAP", "100")
@@ -132,22 +135,99 @@ class TestBuild:
 
 
 def _build_explicit_full(spec):
-    depths = {0: 0}
-    for child0, par in enumerate(spec.parents):
-        depths[child0 + 1] = None
-    # resolve depths iteratively (tables are tiny)
-    changed = True
-    while changed:
-        changed = False
-        for child0, par in enumerate(spec.parents):
-            c = child0 + 1
-            if depths.get(c) is None and depths.get(par) is not None:
-                depths[c] = depths[par] + 1
-                changed = True
-    return build_truncation(spec, max(depths.values()))
+    return build_truncation(spec, _depth_of_table(spec.parents))
+
+
+def _depth_of_table(table) -> int | None:
+    """The depth of the tree a parent table describes, None unless the table
+    is one tree rooted at 0."""
+    n = len(table) + 1
+    if not all(0 <= p < n and p != c for c, p in enumerate(table, 1)):
+        return None
+    depth = {0: 0}
+    while len(depth) < n:
+        new = {c: depth[p] + 1 for c, p in enumerate(table, 1)
+               if p in depth and c not in depth}
+        if not new:
+            return None
+        depth.update(new)
+    return max(depth.values())
+
+
+@st.composite
+def _explicit_cases(draw):
+    """An explicit spec and a depth: a random recursive tree, path, star or
+    comb under scrambled ids, sometimes broken (a bad parent, a self-loop, a
+    2-cycle, or a subtree hung from its own descendant), with its marks
+    absent, empty, random, or negative and out of range; cut at a depth
+    from 0 to past the table's depth."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["recursive", "path", "star", "comb"]))
+    up = {"recursive": lambda v: draw(st.integers(0, v - 1)),
+          "path": lambda v: v - 1,
+          "star": lambda v: 0,
+          "comb": lambda v: v - 2 + v % 2}[shape]  # spine 0, 2, 4, ...; odd teeth
+    parent = [-1] + [up(v) for v in range(1, n)]
+    label = [0] + draw(st.permutations(range(1, n)))
+    table = [0] * (n - 1)
+    for v in range(1, n):
+        table[label[v] - 1] = label[parent[v]]
+    if n >= 3:
+        fault = draw(st.sampled_from([None] * 4 + ["bad", "self", "cycle", "hang"]))
+        a, b = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        if fault == "bad":
+            table[a - 1] = draw(st.sampled_from([-1, n, n + 7, -2**70, 2**70]))
+        elif fault == "self":
+            table[a - 1] = a
+        elif fault == "cycle":
+            table[a - 1], table[b - 1] = b, a
+        elif fault == "hang":
+            below, todo = [], [a]
+            while todo:
+                u = todo.pop()
+                kids = [c for c, p in enumerate(table, 1) if p == u]
+                below += kids
+                todo += kids
+            if below:
+                table[a - 1] = draw(st.sampled_from(below))
+    marks = draw(st.sampled_from(["absent", "empty", "random", "wild"]))
+    if marks == "absent":
+        marked = None
+    elif marks == "empty":
+        marked = []
+    else:
+        ids = (st.integers(0, n - 1) if marks == "random" else
+               st.one_of(st.integers(-3, n + 3), st.sampled_from([-2**70, 2**70])))
+        marked = draw(st.lists(ids, max_size=n))
+    deepest = _depth_of_table(table)
+    depth = draw(st.integers(0, n if deepest is None else deepest + 2))
+    return TreeSpec.explicit(table, marked), depth
 
 
 class TestExplicit:
+    @settings(max_examples=400, deadline=None)
+    @given(_explicit_cases())
+    @example((TreeSpec.explicit([0, 5, 1]), 1))  # bad parent
+    @example((TreeSpec.explicit([0, 2, 1]), 1))  # self-loop
+    @example((TreeSpec.explicit([0, 3, 2]), 1))  # cycle
+    @example((TreeSpec.explicit([0, 3, 4, 2]), 1))  # subtree hung from its descendant
+    @example((TreeSpec.explicit([0, 1]), 3))  # past the table's depth
+    @example((TreeSpec.explicit([0, 1], []), 3))  # past the depth of a finite table
+    @example((TreeSpec.explicit([0, 0, 1, 0], [4, 2, 3]), 2))  # marked vertices stop early
+    def test_build_matches_the_dict_oracle(self, case):
+        spec, depth = case
+        try:
+            want = oracles.canonicalize_explicit_by_dicts(spec, depth)
+        except ValidationError as exc:
+            with pytest.raises(type(exc)) as got:
+                build_truncation(spec, depth)
+            assert str(got.value) == str(exc)
+            return
+        t = build_truncation(spec, depth)
+        for name, w in zip(("parent", "extendable", "level_offsets"), want):
+            got = getattr(t, name)
+            assert got.dtype == w.dtype and got.tolist() == w.tolist()
+
     def test_parent_list_file(self, tmp_path):
         path = tmp_path / "tree.txt"
         path.write_text("0 0 1 1 2\n")
@@ -347,13 +427,17 @@ class TestValidateTree:
 
     @pytest.mark.parametrize("fields, message", [
         ({"parent": (-1, 0, 0, 0, 1, 2)}, "level above"),
+        ({"parent": (-1, 0, -1, 1, 1, 2)}, "level above"),
+        ({"parent": (-1, 0, 0, 1, 1, 6)}, "level above"),
+        ({"parent": (-1, 0, 0, 1, 1, 4)}, "level above"),
         ({"parent": (-1, 0, 0, 2, 1, 1)}, "grouped by parent"),
         ({"extendable": (0, 1, 0, 1, 1, 1)}, "only frontier"),
         ({"offsets": (0, 1, 3, 5)}, "end at V"),
         ({"offsets": (0, 1, 4, 3, 6)}, "nondecreasing"),
         ({"offsets": (0, 2, 3, 6)}, "alone at depth 0"),
         ({"parent": (0, 0, 0, 1, 1, 2)}, "root"),
-    ], ids=["parent-not-a-level-up", "ungrouped", "extendable-above-frontier",
+    ], ids=["parent-not-a-level-up", "parent-minus-one", "parent-past-V",
+            "parent-in-own-level", "ungrouped", "extendable-above-frontier",
             "offsets-short-of-V", "offsets-decrease", "root-not-alone", "root-has-parent"])
     def test_rejects(self, fields, message):
         with pytest.raises(ValidationError, match=message):
@@ -461,11 +545,9 @@ class TestSerialization:
         back = TreeSpec.from_json(doc)
         assert back == spec
 
-    def test_callable_rule_not_serializable(self):
-        spec = TreeSpec.spine_with_leaves(leaf_rule=lambda d: d + 1)
-        assert build_truncation(spec, 3).n_vertices == 1 + 2 + 3 + 4
-        with pytest.raises(ValidationError):
-            spec.to_json()
+    def test_callable_rule_rejected(self):
+        with pytest.raises(ValidationError, match="bad leaf rule"):
+            TreeSpec.spine_with_leaves(leaf_rule=lambda d: d + 1)
 
     def test_bad_documents(self):
         with pytest.raises(ValidationError):
