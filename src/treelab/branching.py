@@ -1,4 +1,4 @@
-"""Cutset minima and branching-number estimates by DP and bisection.
+"""Cutset minima by DP, and branching-number estimates from their decay.
 
 The branching number is the infimum of lambda such that cutset sums
 sum(lambda**-|v|) can be driven to zero.  On a truncation the cutset minimum
@@ -161,22 +161,28 @@ def growth_rate(tree: Tree) -> float:
     return m_n ** (1.0 / n)
 
 
-_DECAY_FACTOR = 0.5
+_LOG_DECAY = math.log(0.5)  # decayed: the deep minimum is under half the shallow
 _FLOOR = 1.0  # every infinite tree branches at >= 1: unit cutset sums are >= 1
 _MAX_LAMBDA = 2.0**40
+_PREDICTIONS = 2  # predicted switch-overs tried before bisecting
 
 
-def _decay_rate(deep: Tree, half: Tree, lam: float) -> float:
-    """Per-level ratio of the cutset minimum between depth n//2 and depth n."""
-    steps = deep.truncation_depth - half.truncation_depth
-    return math.exp((log_cutset_min(deep, lam) - log_cutset_min(half, lam)) / steps)
+def log_cutset_pair(deep: Tree, half: Tree, lam: float) -> tuple[float, float]:
+    """`log_cutset_min` at lam of a truncation and of its shallower prefix."""
+    return log_cutset_min(deep, lam), log_cutset_min(half, lam)
+
+
+def decays(log_full: float, log_half: float) -> bool:
+    """The decay test on a `log_cutset_pair`: the deep cutset minimum is
+    below half the shallow one."""
+    return log_full - log_half < _LOG_DECAY
 
 
 def _check_estimate_args(max_depth: int, tol: float) -> None:
     if max_depth < 4:
         raise ValidationError("max_depth must be >= 4")
-    if not tol > 0.0:
-        raise ValidationError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValidationError("tol must be positive and finite")
 
 
 def branching_number(spec: TreeSpec, max_depth: int, tol: float) -> BranchingEstimate:
@@ -193,46 +199,81 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
     on a built truncation (depth >= 4).
 
     A lambda is judged past the branching number when the cutset minimum at
-    the truncation depth n falls below half its value at n // 2; bisection
-    brackets that switch-over.  The raw switch-over lambda overshoots by the
-    threshold factor 2**(2/n), so the reported interval instead comes from
-    the measured per-level decay rate at supercritical probes: at lambda > br
-    the cutset minimum shrinks by br/lambda per level, which recovers br
-    exactly on regular trees.  The half-depth values use a prefix of the same
-    truncation, so conditioned family trees stay coupled.  Each probe is two
-    `log_cutset_min` calls; callers that already hold the truncation pass it
-    here rather than building it again.
+    the truncation depth n falls below half its value at n // 2 (`decays`).
+    Above the branching number the minimum shrinks by br/lambda per level,
+    so a probe's per-level rate r predicts where that test switches over:
+    at lambda * r * 2**(1/steps), steps = n - n // 2.  From the first
+    lambda that decays (doubling from max(2, growth + 1)), the switch-over
+    is predicted and probed tol above that point, the margin that absorbs
+    rounding at the threshold.  If the guess does not decay, one more guess
+    is made from its own rate; if that fails too, bisection narrows the
+    bracket that is left to min(tol, 0.01).  The interval comes from the
+    rates at two probes past that switch-over, hi + tol and 1.5 * hi + 0.5:
+    each gives br as probe * rate, exactly on regular trees, widened by
+    tol / 2 and kept at or above 1.
+
+    The half-depth values use a prefix of the same truncation, so
+    conditioned family trees stay coupled.  Each probe is one
+    `log_cutset_pair`; a regular tree takes four.  Callers that already
+    hold the truncation pass it here rather than building it again.
     """
     _check_estimate_args(deep.truncation_depth, tol)
     if not deep.has_extendable_frontier:
         return BranchingEstimate(0.0, 0.0, inconclusive=False,
                                  note="finite tree (no extendable frontier)")
     half = truncate(deep, deep.truncation_depth // 2)
+    steps = deep.truncation_depth - half.truncation_depth
 
-    def decayed(lam: float) -> bool:
-        steps = deep.truncation_depth - half.truncation_depth
-        return _decay_rate(deep, half, lam) ** steps < _DECAY_FACTOR
+    def probe(lam: float) -> tuple[bool, float]:
+        """Whether lam decays, and the log per-level rate there."""
+        log_full, log_half = log_cutset_pair(deep, half, lam)
+        return decays(log_full, log_half), (log_full - log_half) / steps
 
-    lo = _FLOOR
     hi = max(2.0, growth_rate(deep) + 1.0)
-    while not decayed(hi):
+    hi_decays, log_rate = probe(hi)
+    while not hi_decays:
         hi *= 2.0
         if hi > _MAX_LAMBDA:
-            return BranchingEstimate(lo, hi, inconclusive=True,
+            return BranchingEstimate(_FLOOR, hi, inconclusive=True,
                                      note="no decay found up to the lambda cap")
-    while hi - lo > min(tol, 0.01):
-        mid = 0.5 * (lo + hi)
-        if decayed(mid):
-            hi = mid
-        else:
-            lo = mid
+        hi_decays, log_rate = probe(hi)
+    hi = _switch_over(probe, hi, log_rate, steps, tol)
 
     # de-biased estimates from the decay rate at two supercritical probes,
     # kept at or above the floor
-    estimates = [probe * _decay_rate(deep, half, probe)
-                 for probe in (hi + tol, 1.5 * hi + 0.5)]
+    estimates = [lam * math.exp(probe(lam)[1])
+                 for lam in (hi + tol, 1.5 * hi + 0.5)]
     lo_est = max(_FLOOR, min(estimates) - 0.5 * tol)
     hi_est = max(_FLOOR, max(estimates) + 0.5 * tol)
     wide = (hi_est - lo_est) > 0.5
     return BranchingEstimate(lo_est, hi_est, inconclusive=wide,
                              note="interval wider than 0.5" if wide else "")
+
+
+def _switch_over(probe, hi: float, log_rate: float, steps: int,
+                 tol: float) -> float:
+    """A lambda that decays, at most about tol past the switch-over, from a
+    decaying hi whose log per-level rate is log_rate.
+
+    Each guess is tol past the switch-over predicted from the last probe.
+    The first guess lies above the floor and the second above the first: a
+    half-depth minimum is at most lambda**steps times the deep one, so every
+    rate is at least 1/lambda.  A guess at or past hi cannot improve on it;
+    after two guesses that do not decay, bisection finishes the bracket.
+    """
+    lo, lam = _FLOOR, hi
+    for _ in range(_PREDICTIONS):
+        guess = lam * math.exp(log_rate - _LOG_DECAY / steps) + tol
+        if guess >= hi:
+            return hi
+        guess_decays, log_rate = probe(guess)
+        if guess_decays:
+            return guess
+        lo = lam = guess
+    while hi - lo > min(tol, 0.01):
+        mid = 0.5 * (lo + hi)
+        if probe(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi

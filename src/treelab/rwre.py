@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError, jsonable
 from .ratecalc import Distribution, fractional_moment, p_value
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage, truncate
-from .branching import estimate_branching, log_cutset_min
+from .branching import decays, estimate_branching, log_cutset_pair
 from .networks import Environment, effective_conductance
 from . import rng
 
@@ -133,14 +133,11 @@ def _cutset_evidence(spec: TreeSpec, tree: Tree | None, p: float,
         log_full = depth * math.log(p)
         log_half = half * math.log(p)
     else:
-        lam = 1.0 / p
-        log_full = log_cutset_min(tree, lam)
-        log_half = log_cutset_min(truncate(tree, half), lam)
-    decays = log_full - log_half < math.log(0.5)
+        log_full, log_half = log_cutset_pair(tree, truncate(tree, half), 1.0 / p)
     return {
         "cutset_min_half": math.exp(log_half),
         "cutset_min_full": math.exp(log_full),
-        "decays": decays,
+        "decays": decays(log_full, log_half),
     }
 
 

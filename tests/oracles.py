@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's optimizers: rates come from
 dense grids (step 1e-4 on the optimization variable), tails from binomial
 arithmetic, cut minima from exhaustive cutset enumeration or a recursion in
 exact rationals, conductance from series-parallel reduction and kernel rows
-from conductance ratios, both in exact rationals.  Oracle values are
+from conductance ratios, both in exact rationals, and branching intervals
+from a bisection on the cutset-decay test.  Oracle values are
 computed first and frozen into the tests that exercise the real code.
 """
 
@@ -224,6 +225,61 @@ def log_cutset_min_masked(tree, lam: float) -> float:
     vals = log_val[lvl1][alive[lvl1]]
     mx = float(vals.max())
     return mx + math.log(float(np.exp(vals - mx).sum()))
+
+
+def estimate_branching_by_bisection(deep, tol: float):
+    """The branching interval with the switch-over bracketed by bisection:
+    the estimator before the predicted switch-over, kept as the judge.
+
+    From max(2, growth + 1), lambda doubles until the cutset minimum at depth
+    n falls below half its value at n // 2, then bisection from [1, hi]
+    closes to min(tol, 0.01).  The interval is the same rule: the per-level
+    decay rate at hi + tol and 1.5 * hi + 0.5 times the probe, widened by
+    tol / 2 and floored at 1.  The cutset minima come from
+    `branching.log_cutset_min`, looked up on the module at each call.
+    """
+    from treelab import branching
+    from treelab.branching import BranchingEstimate, growth_rate
+    from treelab.trees import truncate
+
+    decay_factor, floor, max_lambda = 0.5, 1.0, 2.0**40
+
+    def decay_rate(deep, half, lam):
+        steps = deep.truncation_depth - half.truncation_depth
+        return math.exp((branching.log_cutset_min(deep, lam)
+                         - branching.log_cutset_min(half, lam)) / steps)
+
+    branching._check_estimate_args(deep.truncation_depth, tol)
+    if not deep.has_extendable_frontier:
+        return BranchingEstimate(0.0, 0.0, inconclusive=False,
+                                 note="finite tree (no extendable frontier)")
+    half = truncate(deep, deep.truncation_depth // 2)
+
+    def decayed(lam: float) -> bool:
+        steps = deep.truncation_depth - half.truncation_depth
+        return decay_rate(deep, half, lam) ** steps < decay_factor
+
+    lo = floor
+    hi = max(2.0, growth_rate(deep) + 1.0)
+    while not decayed(hi):
+        hi *= 2.0
+        if hi > max_lambda:
+            return BranchingEstimate(lo, hi, inconclusive=True,
+                                     note="no decay found up to the lambda cap")
+    while hi - lo > min(tol, 0.01):
+        mid = 0.5 * (lo + hi)
+        if decayed(mid):
+            hi = mid
+        else:
+            lo = mid
+
+    estimates = [probe * decay_rate(deep, half, probe)
+                 for probe in (hi + tol, 1.5 * hi + 0.5)]
+    lo_est = max(floor, min(estimates) - 0.5 * tol)
+    hi_est = max(floor, max(estimates) + 0.5 * tol)
+    wide = (hi_est - lo_est) > 0.5
+    return BranchingEstimate(lo_est, hi_est, inconclusive=wide,
+                             note="interval wider than 0.5" if wide else "")
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,15 @@ class TestBranchingNumber:
             with pytest.raises(ValidationError):
                 branching_number(HOM2, depth, tol)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # an infinite tol once probed at hi + inf, whose NaN rate the floor
+        # turned into a conclusive [1, 1] for hom2
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            branching_number(HOM2, 8, tol)
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            estimate_branching(build_truncation(HOM2, 8), tol)
+
     @pytest.mark.parametrize("spec,depth", [
         (HOM2, 10),
         (TreeSpec.galton_watson(Distribution.uniform([0.0, 3.0]), seed=11,
@@ -265,6 +274,81 @@ class TestBranchingNumber:
     def test_built_tree_matches_spec_wrapper(self, spec, depth):
         est = estimate_branching(build_truncation(spec, depth), 0.05)
         assert est == branching_number(spec, depth, 0.05)
+
+
+BENCH_LAW = Distribution.from_pairs([(1, 0.3), (2, 0.4), (3, 0.3)])
+
+
+def _counted(monkeypatch, estimator, tree, tol):
+    """(estimate, number of `branching.log_cutset_min` calls it made)."""
+    calls = []
+    real = branching.log_cutset_min
+
+    def counting(t, lam):
+        calls.append(lam)
+        return real(t, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(branching, "log_cutset_min", counting)
+        est = estimator(tree, tol)
+    return est, len(calls)
+
+
+class TestPredictedSwitchOver:
+    """`estimate_branching` against the doubling-and-bisection estimator it
+    replaced (`oracles.estimate_branching_by_bisection`): close intervals in
+    fewer cutset probes."""
+
+    @pytest.mark.parametrize("depth", [16, 18])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_benchmark_law_family_trees(self, monkeypatch, seed, depth):
+        # conditioned family trees of the benchmark's law; the ends may move
+        # by 0.01 at most (the largest move here is 0.0055, seed 13 at 16)
+        tree = build_truncation(TreeSpec.galton_watson(
+            BENCH_LAW, seed, condition_nonextinct=True), depth)
+        new, new_calls = _counted(monkeypatch, estimate_branching, tree, 0.005)
+        old, old_calls = _counted(
+            monkeypatch, oracles.estimate_branching_by_bisection, tree, 0.005)
+        assert new.lo <= old.hi and old.lo <= new.hi
+        assert abs(new.lo - old.lo) <= 0.01 and abs(new.hi - old.hi) <= 0.01
+        assert not new.inconclusive
+        assert new_calls <= min(10, old_calls)
+
+    @pytest.mark.parametrize("spec,depth", [
+        (HOM2, 16), (TreeSpec.homogeneous(3), 10), (SPINE, 16),
+    ], ids=["hom2", "hom3", "spine"])
+    def test_regular_trees(self, monkeypatch, spec, depth):
+        # the first guess decays: one doubling probe, one guess and the two
+        # rate probes
+        tree = build_truncation(spec, depth)
+        new, new_calls = _counted(monkeypatch, estimate_branching, tree, 0.05)
+        old, old_calls = _counted(
+            monkeypatch, oracles.estimate_branching_by_bisection, tree, 0.05)
+        assert new_calls == 8 < old_calls
+        assert new.lo == pytest.approx(old.lo, abs=1e-12)
+        assert new.hi == pytest.approx(old.hi, abs=1e-12)
+
+    def test_bisection_fallback(self, monkeypatch):
+        # one child per vertex to depth 3, then 4, 1, 3, 4, 2: lambda 2.77
+        # does not decay and 5.54 does, then both guesses (2.68 and 2.80)
+        # fall short of the switch-over near 2.83, and bisection closes
+        # [2.80, 5.54].  Two doublings, two guesses and the two rate probes
+        # are 12 calls; the rest are bisection.
+        parents, level = [], [0]
+        for b in (1, 1, 1, 4, 1, 3, 4, 2):
+            nxt = []
+            for v in level:
+                for _ in range(b):
+                    parents.append(v)
+                    nxt.append(len(parents))
+            level = nxt
+        tree = build_truncation(TreeSpec.explicit(parents), 8)
+        new, new_calls = _counted(monkeypatch, estimate_branching, tree, 0.05)
+        old, _ = _counted(monkeypatch, oracles.estimate_branching_by_bisection,
+                          tree, 0.05)
+        assert new_calls > 12
+        assert new.lo <= old.hi and old.lo <= new.hi
+        assert abs(new.lo - old.lo) <= 0.01 and abs(new.hi - old.hi) <= 0.01
 
 
 class TestGrowthRate:

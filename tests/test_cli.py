@@ -174,6 +174,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and argv[2] in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_bad_branching_tol_is_config_error(self, files, capsys, tol):
+        assert main(["tree", "--tree", files["hom2"], "--depth", "8",
+                     "--branching", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: tol must be positive and finite\n"
+
     def test_resource_cap_exit(self, files):
         assert main(["tree", "--tree", files["hom2"], "--depth", "40"]) == 3
 
