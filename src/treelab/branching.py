@@ -146,9 +146,6 @@ class BranchingEstimate:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __contains__(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
 
 def growth_rate(tree: Tree) -> float:
     """M_n**(1/n) at the truncation depth (1.0 for a depth-0 tree)."""
@@ -206,11 +203,12 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
     lambda that decays (doubling from max(2, growth + 1)), the switch-over
     is predicted and probed tol above that point, the margin that absorbs
     rounding at the threshold.  If the guess does not decay, one more guess
-    is made from its own rate; if that fails too, bisection narrows the
-    bracket that is left to min(tol, 0.01).  The interval comes from the
-    rates at two probes past that switch-over, hi + tol and 1.5 * hi + 0.5:
-    each gives br as probe * rate, exactly on regular trees, widened by
-    tol / 2 and kept at or above 1.
+    is made from its own rate; if that fails too, or a guess falls at or
+    under the last lambda the doubling found not to decay, bisection
+    narrows the bracket that is left to min(tol, 0.01).  The interval comes
+    from the rates at two probes past that switch-over, hi + tol and
+    1.5 * hi + 0.5: each gives br as probe * rate, exactly on regular trees,
+    widened by tol / 2 and kept at or above 1.
 
     The half-depth values use a prefix of the same truncation, so
     conditioned family trees stay coupled.  Each probe is one
@@ -229,15 +227,15 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
         log_full, log_half = log_cutset_pair(deep, half, lam)
         return decays(log_full, log_half), (log_full - log_half) / steps
 
-    hi = max(2.0, growth_rate(deep) + 1.0)
+    lo, hi = _FLOOR, max(2.0, growth_rate(deep) + 1.0)
     hi_decays, log_rate = probe(hi)
     while not hi_decays:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > _MAX_LAMBDA:
             return BranchingEstimate(_FLOOR, hi, inconclusive=True,
                                      note="no decay found up to the lambda cap")
         hi_decays, log_rate = probe(hi)
-    hi = _switch_over(probe, hi, log_rate, steps, tol)
+    hi = _switch_over(probe, lo, hi, log_rate, steps, tol)
 
     # de-biased estimates from the decay rate at two supercritical probes,
     # kept at or above the floor
@@ -250,22 +248,26 @@ def estimate_branching(deep: Tree, tol: float) -> BranchingEstimate:
                              note="interval wider than 0.5" if wide else "")
 
 
-def _switch_over(probe, hi: float, log_rate: float, steps: int,
+def _switch_over(probe, lo: float, hi: float, log_rate: float, steps: int,
                  tol: float) -> float:
     """A lambda that decays, at most about tol past the switch-over, from a
-    decaying hi whose log per-level rate is log_rate.
+    bracket: lo does not decay (or is the floor), and hi decays with log
+    per-level rate log_rate.
 
     Each guess is tol past the switch-over predicted from the last probe.
     The first guess lies above the floor and the second above the first: a
     half-depth minimum is at most lambda**steps times the deep one, so every
-    rate is at least 1/lambda.  A guess at or past hi cannot improve on it;
-    after two guesses that do not decay, bisection finishes the bracket.
+    rate is at least 1/lambda.  A guess at or past hi cannot improve on it.
+    A guess at or under lo, which is known not to decay, or two guesses that
+    do not decay hand the bracket to bisection.
     """
-    lo, lam = _FLOOR, hi
+    lam = hi
     for _ in range(_PREDICTIONS):
         guess = lam * math.exp(log_rate - _LOG_DECAY / steps) + tol
         if guess >= hi:
             return hi
+        if guess <= lo:
+            break
         guess_decays, log_rate = probe(guess)
         if guess_decays:
             return guess

@@ -135,7 +135,7 @@ def _replicated(fn, count: int, workers: int) -> list:
 def _cmd_tree(args) -> int:
     spec = _load_spec(args)
     full = tree = build_truncation(spec, args.depth)
-    if args.contract:
+    if args.contract is not None:
         tree = contract_k(tree, args.contract)
     rows = [{"level": k, "count": int(c)}
             for k, c in enumerate(tree.level_sizes())]

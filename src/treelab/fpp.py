@@ -82,7 +82,7 @@ def first_passage_min(sample: PassageSample, n: int) -> float:
 
 @dataclass
 class ProfileStats:
-    """Level-set counts at one depth with the matching rate predictions."""
+    """Level-set counts at one depth for one seed (predictions: `FppReport`)."""
 
     depth: int
     seed: int
@@ -90,23 +90,6 @@ class ProfileStats:
     y: np.ndarray
     counts: np.ndarray
     exponents: np.ndarray                 # (1/n) log N_n(y); -inf where empty
-    predicted_rate: float | None = None   # m1(1 / br)
-    predicted_exponents: np.ndarray | None = None  # log(m(y) * br)
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i in range(len(self.y)):
-            row = {
-                "seed": self.seed,
-                "n": self.depth,
-                "y": float(self.y[i]),
-                "count": int(self.counts[i]),
-                "exponent": float(self.exponents[i]),
-            }
-            if self.predicted_exponents is not None:
-                row["predicted_exponent"] = float(self.predicted_exponents[i])
-            out.append(row)
-        return out
 
 
 def level_profile(sample: PassageSample, n: int, y_grid) -> ProfileStats:
@@ -136,7 +119,9 @@ class FppReport:
     depth: int
     branching: float
     branching_is_exact: bool
-    predicted_rate: float
+    predicted_rate: float                 # m1(1 / br)
+    y: np.ndarray
+    predicted_exponents: np.ndarray       # log(m(y) * br) over y
     profiles: list[ProfileStats] = field(default_factory=list)
 
     @property
@@ -144,7 +129,11 @@ class FppReport:
         return np.array([p.b_n for p in self.profiles])
 
     def rows(self) -> list[dict]:
-        return [row for p in self.profiles for row in p.rows()]
+        return [{"seed": p.seed, "n": p.depth, "y": float(yy), "count": int(c),
+                 "exponent": float(e), "predicted_exponent": float(pe)}
+                for p in self.profiles
+                for yy, c, e, pe in zip(self.y, p.counts, p.exponents,
+                                        self.predicted_exponents)]
 
     def to_json(self) -> dict:
         return jsonable({
@@ -157,11 +146,8 @@ class FppReport:
             "predicted_rate": self.predicted_rate,
             "b_values": [p.b_n for p in self.profiles],
             "mean_b": float(self.b_values.mean()),
-            "y_grid": [float(v) for v in (self.profiles[0].y if self.profiles else [])],
-            "predicted_exponents": (
-                [float(v) for v in self.profiles[0].predicted_exponents]
-                if self.profiles and self.profiles[0].predicted_exponents is not None
-                else None),
+            "y_grid": [float(v) for v in self.y],
+            "predicted_exponents": [float(v) for v in self.predicted_exponents],
             "rows": self.rows(),
         })
 
@@ -200,14 +186,12 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
                               for m in (rate_m(law, float(yy)) for yy in y)])
     law.image_table(), tree._lineage  # fill both caches before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
-                       branching_is_exact=br_exact, predicted_rate=predicted_rate)
+                       branching_is_exact=br_exact, predicted_rate=predicted_rate,
+                       y=y, predicted_exponents=predicted_exp)
 
     def replicate(i: int) -> ProfileStats:
-        sample = sample_passage_times(tree, law, rng.derive(seed, i))
-        prof = level_profile(sample, depth, y)
-        prof.predicted_rate = predicted_rate
-        prof.predicted_exponents = predicted_exp
-        return prof
+        return level_profile(sample_passage_times(tree, law, rng.derive(seed, i)),
+                             depth, y)
 
     return report, replicate
 

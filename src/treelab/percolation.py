@@ -159,26 +159,22 @@ class ProofPercolation:
     n_edges: int
 
 
-def _segment_sums(ctree: Tree, path_sums: np.ndarray) -> np.ndarray:
-    """Each contracted edge's segment total, from root-path sums of the
-    source tree (0 at the root)."""
-    src = ctree.source_vertices
-    anc = np.where(ctree.parent >= 0, src[np.maximum(ctree.parent, 0)], -1)
-    return np.where(src > 0,
-                    path_sums[np.maximum(src, 0)]
-                    - np.where(anc > 0, path_sums[np.maximum(anc, 0)], 0.0),
-                    0.0)
-
-
-def _segment_stats(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
-                   combine) -> np.ndarray:
-    """Fold a per-vertex value over each contracted edge's k-step segment."""
+def _segment_folds(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
+                   extreme) -> tuple[np.ndarray, np.ndarray]:
+    """Each contracted edge's k-step segment total of a per-edge value and
+    its `extreme` (np.minimum or np.maximum), in one climb from the bottom.
+    Clip mode reads index 0 for -1 and parent[0] == -1, so a climb past the
+    root stays at -1 and reads the root's 0."""
     cur = ctree.source_vertices
-    out = per_vertex[cur]
+    total = per_vertex[cur]
+    ext = total.copy()
+    step = np.empty_like(total)
     for _ in range(k - 1):
-        cur = tree.climb(cur)
-        out = combine(out, per_vertex[np.maximum(cur, 0)])
-    return out
+        cur = np.take(tree.parent, cur, mode="clip")
+        np.take(per_vertex, cur, out=step, mode="clip")
+        total += step
+        extreme(ext, step, out=ext)
+    return total, ext
 
 
 def _proof_result(ctree: Tree, kept: np.ndarray) -> ProofPercolation:
@@ -211,8 +207,7 @@ def proof_percolation_rwre(env: Environment, k: int, y: float,
         raise ValidationError("eps must be positive")
     tree = env.tree
     ctree = contract_k(tree, k)
-    log_prod = _segment_sums(ctree, env.log_c)
-    min_a = _segment_stats(tree, ctree, env.log_a, k, np.minimum)
+    log_prod, min_a = _segment_folds(tree, ctree, env.log_a, k, np.minimum)
     return _proof_result(ctree, (log_prod >= k * math.log(y) - _TIE_TOL)
                          & (min_a >= math.log(eps) - _TIE_TOL))
 
@@ -225,7 +220,6 @@ def proof_percolation_fpp(sample: PassageSample, k: int, y: float,
         raise ValidationError("the per-edge bound must be finite")
     tree = sample.tree
     ctree = contract_k(tree, k)
-    seg_sum = _segment_sums(ctree, sample.s)
-    max_x = _segment_stats(tree, ctree, sample.x, k, np.maximum)
+    seg_sum, max_x = _segment_folds(tree, ctree, sample.x, k, np.maximum)
     return _proof_result(ctree, (seg_sum <= k * y + _TIE_TOL)
                          & (max_x <= big_m + _TIE_TOL))

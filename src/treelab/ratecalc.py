@@ -30,7 +30,7 @@ from . import rng
 
 _WEIGHT_TOL = 1e-12
 _CONVOLVE_MERGE_TOL = 1e-12
-_DEFAULT_CONVOLVE_CAP = 1 << 22
+_CONVOLVE_CAP = 1 << 22  # point masses one convolution may hold
 _GUIDE_MAX_BITS = 16  # sampling guide table: at most 2**16 buckets
 _GUIDE_MAX_GAP = 8    # beyond this many steps per bucket, binary search
 
@@ -526,23 +526,23 @@ def _merge_close(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
     return merged_vals, merged_probs
 
 
-def _convolve(d1, d2, cap: int):
+def _convolve(d1, d2):
     v1, p1 = d1
     v2, p2 = d2
-    if len(v1) * len(v2) > cap:
+    if len(v1) * len(v2) > _CONVOLVE_CAP:
         raise ResourceCapError(
-            f"convolution would produce {len(v1) * len(v2)} point masses (cap {cap})"
+            f"convolution would produce {len(v1) * len(v2)} point masses "
+            f"(cap {_CONVOLVE_CAP})"
         )
     vals = np.add.outer(v1, v2).ravel()
     probs = np.multiply.outer(p1, p2).ravel()
     vals, probs = _merge_close(vals, probs)
-    if len(vals) > cap:
-        raise ResourceCapError(f"convolution grew past cap {cap}")
+    if len(vals) > _CONVOLVE_CAP:
+        raise ResourceCapError(f"convolution grew past cap {_CONVOLVE_CAP}")
     return vals, probs
 
 
-def sum_distribution(law: Distribution, n: int,
-                     cap: int = _DEFAULT_CONVOLVE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def sum_distribution(law: Distribution, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the sum of n independent copies, as (values, probs) arrays.
 
     Computed by square-and-multiply convolution; point masses at equal
@@ -557,29 +557,27 @@ def sum_distribution(law: Distribution, n: int,
     k = n
     while k:
         if k & 1:
-            result = base if result is None else _convolve(result, base, cap)
+            result = base if result is None else _convolve(result, base)
         k >>= 1
         if k:
-            base = _convolve(base, base, cap)
+            base = _convolve(base, base)
     return result
 
 
-def exact_tail(law: Distribution, n: int, a: float,
-               cap: int = _DEFAULT_CONVOLVE_CAP) -> float:
+def exact_tail(law: Distribution, n: int, a: float) -> float:
     """Exact P[S_n >= n*a] for the sum S_n of n independent copies of the law.
 
     The tail threshold uses the same 1e-12 position tolerance as the
     convolution merging, so lattice ties land on the correct side.
     """
-    vals, probs = sum_distribution(law, n, cap=cap)
+    vals, probs = sum_distribution(law, n)
     threshold = n * a - _CONVOLVE_MERGE_TOL
     return float(probs[vals >= threshold].sum())
 
 
-def exact_tail_below(law: Distribution, n: int, y: float,
-                     cap: int = _DEFAULT_CONVOLVE_CAP) -> float:
+def exact_tail_below(law: Distribution, n: int, y: float) -> float:
     """Exact P[S_n <= n*y], via the upper tail of the reflected law."""
-    return exact_tail(law.reflected(), n, -y, cap=cap)
+    return exact_tail(law.reflected(), n, -y)
 
 
 # ---------------------------------------------------------------------------

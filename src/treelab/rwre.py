@@ -12,6 +12,7 @@ so rather than guessing.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -175,6 +176,8 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
     law.require_positive_finite()
     if depth < 4:
         raise ValidationError("depth must be >= 4")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError("tol must be finite and >= 0")
     p, x_star = p_value(law)
     witnesses: dict = {"p": p}
 
@@ -309,29 +312,26 @@ class _KernelCache:
         hit = self.rows.get(v)
         if hit is None:
             ids, probs = transition_probs(self.env, v)
-            hit = (list(map(int, ids)), list(np.cumsum(probs)))
+            hit = (ids.tolist(), np.cumsum(probs).tolist())
             self.rows[v] = hit
         return hit
 
 
 def _step(row: tuple[list[int], list[float]], u: float) -> int:
+    """The first id whose cumulative probability exceeds u, or the last id
+    when rounding leaves the total at or under u."""
     ids, cum = row
-    for i, edge in enumerate(cum):
-        if u < edge:
-            return ids[i]
-    return ids[-1]
+    return ids[min(bisect.bisect_right(cum, u), len(ids) - 1)]
 
 
 @dataclass
 class WalkSummary:
-    """Path summary for one walk from the root."""
+    """Path summary for one walk from the root; transition counts on request."""
 
-    steps_requested: int
     steps_taken: int
     returns_to_root: int
     max_depth: int
     exited_truncation: bool
-    occupation: np.ndarray
     transition_counts: dict[int, dict[int, int]] | None = None
 
 
@@ -348,10 +348,8 @@ def simulate_walk(env: Environment, steps: int, seed: int,
     tree = env.tree
     kernel = _KernelCache(env)
     gen = rng.generator(env.seed, _TAG_WALK, seed)
-    occupation = np.zeros(tree.n_vertices, dtype=np.int64)
     transitions: dict[int, dict[int, int]] | None = {} if record_transitions else None
     v = 0
-    occupation[0] += 1
     returns = 0
     deepest = 0  # ids grow with depth, so the largest id visited is deepest
     taken = 0
@@ -366,15 +364,13 @@ def simulate_walk(env: Environment, steps: int, seed: int,
             transitions[v][nxt] = transitions[v].get(nxt, 0) + 1
         v = nxt
         taken += 1
-        occupation[v] += 1
         deepest = max(deepest, v)
         returns += v == 0
     else:
         exited = exited or bool(tree.extendable[v])
-    return WalkSummary(steps_requested=steps, steps_taken=taken,
-                       returns_to_root=returns, max_depth=int(tree.depth_of(deepest)),
-                       exited_truncation=exited, occupation=occupation,
-                       transition_counts=transitions)
+    return WalkSummary(steps_taken=taken, returns_to_root=returns,
+                       max_depth=int(tree.depth_of(deepest)),
+                       exited_truncation=exited, transition_counts=transitions)
 
 
 @dataclass

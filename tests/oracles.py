@@ -566,6 +566,16 @@ def segment_fold_by_steps(parent, per_vertex, v: int, k: int, combine):
     return out
 
 
+def step_by_scan(row, u: float) -> int:
+    """The walk step by a linear scan of the cumulative row: the first id
+    whose cumulative probability exceeds u, else the last id."""
+    ids, cum = row
+    for i, edge in enumerate(cum):
+        if u < edge:
+            return ids[i]
+    return ids[-1]
+
+
 def _unxorshift(y: np.ndarray, s: int) -> np.ndarray:
     """Inverse of x -> x ^ (x >> s) on uint64."""
     x = y.copy()

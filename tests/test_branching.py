@@ -204,11 +204,11 @@ class TestBranchingNumber:
 
     def test_homogeneous_three(self):
         est = branching_number(TreeSpec.homogeneous(3), 10, 0.05)
-        assert 3.0 in est and est.width <= 2 * 0.05 + 1e-9
+        assert est.lo <= 3.0 <= est.hi and est.width <= 2 * 0.05 + 1e-9
 
     def test_spine_is_one(self):
         est = branching_number(SPINE, 16, 0.05)
-        assert 1.0 in est
+        assert est.lo <= 1.0 <= est.hi
         assert est.width <= 0.05 + 1e-9
 
     def test_family_tree_mean(self):
@@ -217,13 +217,13 @@ class TestBranchingNumber:
             spec = TreeSpec.galton_watson(Distribution.uniform([1.0, 2.0]),
                                           seed=seed)
             est = branching_number(spec, 24, 0.1)
-            assert 1.5 in est, (est.lo, est.hi)
+            assert est.lo <= 1.5 <= est.hi, (est.lo, est.hi)
 
     def test_conditioned_family_tree(self):
         spec = TreeSpec.galton_watson(Distribution.uniform([0.0, 3.0]), seed=11,
                                       condition_nonextinct=True)
         est = branching_number(spec, 30, 0.1)
-        assert 1.5 in est
+        assert est.lo <= 1.5 <= est.hi
 
     def test_estimates_kept_at_or_above_one(self):
         # a critical family tree conditioned to survive: the de-biased decay
@@ -233,7 +233,6 @@ class TestBranchingNumber:
         spec = TreeSpec.galton_watson(critical, seed=5, condition_nonextinct=True)
         est = branching_number(spec, 12, 0.05)
         assert 1.0 == est.lo <= est.hi
-        assert 1.0 in est
 
     def test_finite_tree(self):
         spec = TreeSpec.explicit([0, 0, 1], extendable=[])
@@ -314,6 +313,15 @@ class TestPredictedSwitchOver:
         assert not new.inconclusive
         assert new_calls <= min(10, old_calls)
 
+    def test_benchmark_tree(self, monkeypatch):
+        # the bench's conditioned family tree decays at its first lambda
+        # (2.952), so no doubling runs and the bracket starts at the floor
+        tree = build_truncation(TreeSpec.galton_watson(
+            BENCH_LAW, 7, condition_nonextinct=True), 22)
+        est, calls = _counted(monkeypatch, estimate_branching, tree, 0.005)
+        assert calls == 10
+        assert (round(est.lo, 5), round(est.hi, 5)) == (1.99693, 2.01984)
+
     @pytest.mark.parametrize("spec,depth", [
         (HOM2, 16), (TreeSpec.homogeneous(3), 10), (SPINE, 16),
     ], ids=["hom2", "hom3", "spine"])
@@ -330,10 +338,10 @@ class TestPredictedSwitchOver:
 
     def test_bisection_fallback(self, monkeypatch):
         # one child per vertex to depth 3, then 4, 1, 3, 4, 2: lambda 2.77
-        # does not decay and 5.54 does, then both guesses (2.68 and 2.80)
-        # fall short of the switch-over near 2.83, and bisection closes
-        # [2.80, 5.54].  Two doublings, two guesses and the two rate probes
-        # are 12 calls; the rest are bisection.
+        # does not decay and 5.54 does, and the first guess (2.68) lies under
+        # 2.77, so it is not probed: bisection closes [2.77, 5.54].  Probing
+        # it and a second guess (2.80) took 30 calls, more than the 26 of
+        # bisection from [1, 5.54].
         parents, level = [], [0]
         for b in (1, 1, 1, 4, 1, 3, 4, 2):
             nxt = []
@@ -344,9 +352,9 @@ class TestPredictedSwitchOver:
             level = nxt
         tree = build_truncation(TreeSpec.explicit(parents), 8)
         new, new_calls = _counted(monkeypatch, estimate_branching, tree, 0.05)
-        old, _ = _counted(monkeypatch, oracles.estimate_branching_by_bisection,
-                          tree, 0.05)
-        assert new_calls > 12
+        old, old_calls = _counted(monkeypatch, oracles.estimate_branching_by_bisection,
+                                  tree, 0.05)
+        assert 12 < new_calls <= old_calls == 26
         assert new.lo <= old.hi and old.lo <= new.hi
         assert abs(new.lo - old.lo) <= 0.01 and abs(new.hi - old.hi) <= 0.01
 

@@ -181,6 +181,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: tol must be positive and finite\n"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_classify_tol_is_config_error(self, files, capsys, tol):
+        # p*br is exactly 1 for the point law 1/2 on hom2: tol -1 printed
+        # Transient and nan Recurrent, with exit 0
+        half = files["dir"] / "half.json"
+        half.write_text(json.dumps({"schema": 1, "support": [0.5], "weights": [1.0]}))
+        for law in (str(half), files["a_law"]):
+            assert main(["classify", "--tree", files["hom2"], "--dist", law,
+                         f"--tol={tol}"]) == 2
+            assert capsys.readouterr() == ("", "config error: tol must be finite and >= 0\n")
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_contract_is_config_error(self, files, capsys, k):
+        # --contract 0 once printed the uncontracted tree with exit 0
+        assert main(["tree", "--tree", files["hom2"], "--depth", "4",
+                     f"--contract={k}"]) == 2
+        assert capsys.readouterr() == ("", "config error: k must be >= 1\n")
+
     def test_resource_cap_exit(self, files):
         assert main(["tree", "--tree", files["hom2"], "--depth", "40"]) == 3
 

@@ -253,12 +253,13 @@ class TestReport:
 
     def test_predicted_exponent_columns(self):
         rep = fpp_report(HOM2, COIN, 10, 2, [0.25, 1.0], seed=0)
-        assert rep.profiles[0].predicted_exponents[1] == pytest.approx(
-            math.log(2.0))
-        assert rep.profiles[0].predicted_exponents[0] == pytest.approx(
+        assert rep.predicted_exponents[1] == pytest.approx(math.log(2.0))
+        assert rep.predicted_exponents[0] == pytest.approx(
             math.log(2 * rate_m(COIN, 0.25)))
         doc = rep.to_json()
         assert doc["schema"] == 1 and len(doc["rows"]) == 4
+        assert [r["predicted_exponent"] for r in doc["rows"]] == \
+            doc["predicted_exponents"] * 2
 
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -1,17 +1,19 @@
 """Survival recursions, Monte Carlo twins, and the contracted threshold
 percolations with enumeration oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from treelab import cli
 from treelab.errors import ValidationError
 from treelab.ratecalc import Distribution, exact_tail
 from treelab.trees import TreeSpec, build_truncation, contract_k
 from treelab.networks import sample_environment
 from treelab.fpp import sample_passage_times
-from treelab.percolation import (_segment_stats, percolate_sample,
+from treelab.percolation import (_segment_folds, percolate_sample,
                                  proof_percolation_fpp, proof_percolation_rwre,
                                  survival_monte_carlo, survival_probability,
                                  survival_probability_tree)
@@ -84,10 +86,13 @@ class TestLevelSweepsAgainstVertexLoops:
                 if t.truncation_depth % k:
                     continue
                 c = contract_k(t, k)
-                for combine in (np.minimum, np.maximum):
-                    got = _segment_stats(t, c, vals, k, combine)
-                    assert got.tolist() == [
-                        oracles.segment_fold_by_steps(t.parent, vals, int(v), k, combine)
+                total = [oracles.segment_fold_by_steps(t.parent, vals, int(v), k, np.add)
+                         for v in c.source_vertices]
+                for extreme in (np.minimum, np.maximum):
+                    got_total, got_extreme = _segment_folds(t, c, vals, k, extreme)
+                    assert got_total.tolist() == total
+                    assert got_extreme.tolist() == [
+                        oracles.segment_fold_by_steps(t.parent, vals, int(v), k, extreme)
                         for v in c.source_vertices]
 
 
@@ -145,6 +150,29 @@ class TestProofPercolationRatios:
         env = sample_environment(t, Distribution.point(1.0), 0)
         pp = proof_percolation_rwre(env, 3, 1.0, 1.0)
         assert pp.q_hat == 1.0 and pp.survived
+
+    def test_reads_no_conductances(self, tmp_path, monkeypatch):
+        # segment totals are folded from log A: `percolate --proof rwre`
+        # never forms the root-path sums log C
+        envs = []
+
+        def recording(*args):
+            envs.append(sample_environment(*args))
+            return envs[-1]
+
+        files = {}
+        for name, doc in (("tree", HOM2.to_json()),
+                          ("law", Distribution.uniform([0.5, 2.0]).to_json())):
+            files[name] = str(tmp_path / f"{name}.json")
+            with open(files[name], "w") as fh:
+                json.dump(doc, fh)
+        monkeypatch.setattr(cli, "sample_environment", recording)
+        for k in ("1", "2"):
+            assert cli.main(["percolate", "--proof", "rwre", "--tree", files["tree"],
+                             "--dist", files["law"], "--depth", "6", "--k", k,
+                             "--y", "0.9", "--seeds", "2"]) == 0
+        assert len(envs) == 4
+        assert all(env._log_a is not None and env._log_c is None for env in envs)
 
     def test_small_ratios_all_deleted(self):
         t = build_truncation(HOM2, 4)

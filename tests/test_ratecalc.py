@@ -304,9 +304,10 @@ class TestExactTail:
             assert math.log(tail) / n <= g + 1e-12
 
     def test_cap_on_dense_supports(self):
+        # the size check runs before anything is allocated: 2145**2 masses
         law = Distribution.uniform([1.0, math.sqrt(2.0), math.pi])
-        with pytest.raises(ResourceCapError):
-            exact_tail(law, 64, 1.0, cap=10_000)
+        with pytest.raises(ResourceCapError, match="4601025 point masses"):
+            exact_tail(law, 128, 1.0)
 
 
 def test_summary_contains_requested_tables():

@@ -127,6 +127,20 @@ class TestClassify:
         with pytest.raises(UnsupportedCaseError):
             classify(Distribution.uniform([0.0, 2.0]), HOM2, 20)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("spec", [HOM2, TreeSpec.galton_watson(
+        Distribution.uniform([1.0, 2.0, 3.0]), 7, condition_nonextinct=True)],
+        ids=["hom2", "family"])
+    def test_tol_outside_range_rejected(self, spec, tol):
+        # with p*br (or p*m) exactly 1, tol -1 once gave Transient and nan
+        # Recurrent; on A2, inf gave Boundary
+        for law in (Distribution.point(0.5), Distribution.uniform([0.5, 0.75])):
+            with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+                classify(law, spec, 20, tol)
+
+    def test_zero_tol_accepted(self):
+        assert classify(Distribution.point(0.5), HOM2, 20, 0.0).regime == "Boundary"
+
     def test_report_serializes(self):
         rep = classify(Distribution.uniform([0.5, 0.75]), HOM2, 20)
         doc = rep.to_json()
@@ -296,13 +310,36 @@ class TestExactKernel:
             for p, e, sl in zip(probs, exact, slack):
                 assert abs(Fraction(float(p)) - e) <= e * Fraction(sl) * Fraction(2.0**-53) \
                     + Fraction(2.0**-1070)
+
+
+_STEP_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+class TestStep:
+    @given(st.lists(_STEP_WEIGHT, min_size=1, max_size=8),
+           st.floats(0.0, 1.0, exclude_max=True), st.floats(0.5, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_matches_linear_scan(self, weights, u, scale):
+        # rows with zero-probability entries, and rows whose cumulative
+        # total ends under 1 (scale < 1, or rounding), where the last id is
+        # taken for any u past the total
+        total = sum(weights)
+        probs = np.array([w / total * scale for w in weights]) if total > 0 \
+            else np.zeros(len(weights))
+        row = (list(range(10, 10 + len(weights))), np.cumsum(probs).tolist())
+        assert rwre._step(row, u) == oracles.step_by_scan(row, u)
+        assert rwre._step(row, row[1][-1]) == oracles.step_by_scan(row, row[1][-1])
+
+
 class TestWalks:
     def test_deterministic(self):
         t = build_truncation(HOM2, 8)
         env = sample_environment(t, Distribution.uniform([0.5, 2.0]), 3)
-        a = simulate_walk(env, 500, 7)
-        b = simulate_walk(env, 500, 7)
-        assert np.array_equal(a.occupation, b.occupation)
+        a = simulate_walk(env, 500, 7, record_transitions=True)
+        b = simulate_walk(env, 500, 7, record_transitions=True)
+        assert a.transition_counts == b.transition_counts
+        assert sum(sum(outs.values()) for outs in a.transition_counts.values()) \
+            == a.steps_taken
         assert (a.steps_taken, a.max_depth) == (b.steps_taken, b.max_depth)
 
     def test_strong_drift_exits_quickly(self):
