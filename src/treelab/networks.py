@@ -11,7 +11,9 @@ Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
 alone, in doubles, or on log h where an h leaves double range.  The levels
 come from a built tree or from `trees.HomogeneousLevels`, the b-ary layout
-by arithmetic.  Levels are
+by arithmetic, which the CLI reads for every homogeneous spec: no tree is
+built, and each level's sums over children (`child_sums`) are b strided
+adds instead of a scatter through parent ids.  Levels are
 drawn straight from the law's image tables (`Distribution.image_table`):
 log A, and for the double path exp(log A), which has the bits of exp taken
 of a stored log A, so no level takes a log or exp pass.  Flows are min-cuts
@@ -175,9 +177,8 @@ def effective_conductance(tree: Tree | HomogeneousLevels, env: Environment,
         if grounded is not None:
             h[~grounded] = 0.0
         for k in range(depth - 1, 0, -1):
-            group, m = tree.level_parents(k + 1)
-            s = np.bincount(group, weights=h, minlength=m)
-            del group, h  # the child level is not needed while level k is drawn
+            s = tree.child_sums(k + 1, h)
+            del h  # the child level is not needed while level k is drawn
             no_current = np.count_nonzero(s == 0.0)
             h = _ratio_step(env.level_log_a(k, True), s)
             del s

@@ -66,11 +66,9 @@ def survival_probability_tree(tree: Tree, q: float) -> float:
         raise ValidationError("q must lie in [0, 1]")
     f = tree.extendable.astype(np.float64)
     for k in range(tree.truncation_depth, 0, -1):
-        group, m = tree.level_parents(k)
         with np.errstate(divide="ignore"):
             logs = np.log1p(-q * f[tree.level_slice(k)])
-        f[tree.level_slice(k - 1)] = 1.0 - np.exp(np.bincount(group, weights=logs,
-                                                              minlength=m))
+        f[tree.level_slice(k - 1)] = 1.0 - np.exp(tree.child_sums(k, logs))
     return float(f[0])
 
 
@@ -216,6 +214,8 @@ def proof_percolation_fpp(sample: PassageSample, k: int, y: float,
                           big_m: float) -> ProofPercolation:
     """Keep a contracted edge iff its segment's time sum is at most k*y and
     every single edge time on the segment is at most big_m."""
+    if not 0.0 <= y < math.inf:
+        raise ValidationError("y must be finite and >= 0")
     if not math.isfinite(big_m):
         raise ValidationError("the per-edge bound must be finite")
     tree = sample.tree

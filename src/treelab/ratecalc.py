@@ -437,6 +437,8 @@ def rate_m(law: Distribution, y: float) -> float:
     L'(-t) = 0.
     """
     law.require_x_type()
+    if math.isnan(y):
+        raise ValidationError("y must not be NaN")
     lo = law.ess_inf
     if y < lo:
         return 0.0

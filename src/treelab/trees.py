@@ -246,8 +246,8 @@ class _Levels:
 class HomogeneousLevels(_Levels):
     """The BFS layout of the depth-`truncation_depth` b-ary truncation, by
     arithmetic: the level vocabulary of `Tree` (`n_vertices`,
-    `level_offsets`, `level_slice`, `level_parents`) with no vertex arrays.
-    Every frontier vertex is extendable."""
+    `level_offsets`, `level_slice`, `level_parents`, `child_sums`) with no
+    vertex arrays.  Every frontier vertex is extendable."""
 
     b: int
     truncation_depth: int
@@ -264,6 +264,21 @@ class HomogeneousLevels(_Levels):
     def level_parents(self, k: int) -> tuple[np.ndarray, int]:
         """As `Tree.level_parents`: the b children of a parent are adjacent."""
         return np.arange(self.b**k) // self.b, self.b**(k - 1)
+
+    def child_sums(self, k: int, vals: np.ndarray) -> np.ndarray:
+        """As `Tree.child_sums`, by strided adds: parent p's children are
+        level-k offsets b*p .. b*p + b - 1.  The sums run in id order from
+        the first child, which has the bits of `np.bincount`'s 0.0 + v_0 +
+        v_1 + ... wherever v_0 is not -0.0; like it, a sum past double
+        range is inf with no warning."""
+        b = self.b
+        if b == 1:
+            return vals.copy()
+        with np.errstate(over="ignore"):
+            out = vals[0::b] + vals[1::b]
+            for j in range(2, b):
+                out += vals[j::b]
+        return out
 
 
 @dataclass
@@ -297,6 +312,14 @@ class Tree(_Levels):
         k - 1; and the size of level k - 1."""
         off = self.level_offsets
         return self.parent[self.level_slice(k)] - off[k - 1], int(off[k] - off[k - 1])
+
+    def child_sums(self, k: int, vals: np.ndarray) -> np.ndarray:
+        """For each vertex of level k - 1, in id order, the float64 sum of
+        `vals` (one value per level-k vertex) over its children, added in
+        id order from 0.0.  An empty level k (a family tree that died out)
+        gives float64 zeros, where `np.bincount` alone gives int64."""
+        group, m = self.level_parents(k)
+        return np.bincount(group, weights=vals, minlength=m).astype(np.float64, copy=False)
 
     def climb(self, ids: np.ndarray) -> np.ndarray:
         """The parents of `ids`: -1 for the root, and for -1 (past the root)."""
@@ -334,8 +357,7 @@ class Tree(_Levels):
         """The `extendable_lineage` mask, by one leaf-to-root sweep."""
         alive = self.extendable.copy()
         for k in range(self.truncation_depth, 0, -1):
-            group, m = self.level_parents(k)
-            counts = np.bincount(group, weights=alive[self.level_slice(k)], minlength=m)
+            counts = self.child_sums(k, alive[self.level_slice(k)])
             alive[self.level_slice(k - 1)] |= counts > 0
         alive.setflags(write=False)
         return alive
@@ -497,6 +519,19 @@ def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
             f"depth {tree.depth_of(stops[0])} < {depth}")
     validate_tree(tree)
     return tree._freeze()
+
+
+def level_source(spec: TreeSpec, depth: int) -> Tree | HomogeneousLevels:
+    """The levels of the depth-`depth` truncation, for code that reads them
+    one level at a time: a homogeneous spec at depth >= 1 gives its
+    `HomogeneousLevels`, checked against the vertex budget as if built; any
+    other gives the built tree.  Depth 0 is built (one vertex), so callers
+    see its errors and a negative depth's as `build_truncation` gives them."""
+    if spec.kind != "homogeneous" or depth < 1:
+        return build_truncation(spec, depth)
+    levels = HomogeneousLevels(spec.b, depth)
+    _check_cap(levels.n_vertices, effective_vertex_cap())
+    return levels
 
 
 def build_truncation(spec: TreeSpec, depth: int) -> Tree:

@@ -7,7 +7,8 @@ import pytest
 from treelab import branching, cli, rng, rwre, trees
 from treelab.branching import branching_number
 from treelab.cli import main
-from treelab.networks import homogeneous_conductance
+from treelab.networks import (effective_conductance, homogeneous_conductance,
+                              sample_environment)
 from treelab.ratecalc import Distribution
 from treelab.trees import TreeSpec
 
@@ -16,6 +17,9 @@ A_LAW_DOC = {"schema": 1, "support": [0.5, 0.75], "weights": [0.5, 0.5]}
 X_LAW_DOC = {"schema": 1, "support": [0.0, 1.0], "weights": [0.5, 0.5]}
 ZERO_LAW_DOC = {"schema": 1, "support": [0.0, 2.0], "weights": [0.5, 0.5]}
 X_INF_LAW_DOC = {"schema": 1, "support": [1.0, "inf"], "weights": [0.5, 0.5]}
+WIDE_LAW_DOC = {"schema": 1, "support": [1e-200, 1e-3, 1e200], "weights": [0.3, 0.4, 0.3]}
+GW_DOC = {"schema": 1, "kind": "galton_watson", "seed": 7, "condition_nonextinct": True,
+          "offspring": {"schema": 1, "support": [1, 2, 3], "weights": [0.3, 0.4, 0.3]}}
 
 
 @pytest.fixture
@@ -231,6 +235,22 @@ class TestExitCodes:
         assert main(["percolate", "--proof", "fpp", "--tree", files["hom2"],
                      "--depth", "6", "--seeds", "3"] + argv) == 2
         assert capsys.readouterr().err == f"config error: {err}\n"
+
+    @pytest.mark.parametrize("y", ["nan", "-inf", "inf", "-1"])
+    def test_bad_proof_fpp_y_is_config_error(self, files, capsys, y):
+        # nan and -inf once printed q_hat = 0 with exit 0
+        assert main(["percolate", "--proof", "fpp", "--tree", files["hom2"],
+                     "--dist", files["x_law"], "--depth", "6", f"--y={y}"]) == 2
+        assert capsys.readouterr() == ("", "config error: y must be finite and >= 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dist", "x_law", "--op", "m", "--y", "nan"],
+        ["fpp", "--tree", "hom2", "--dist", "x_law", "--depth", "6", "--ygrid", "nan"],
+    ], ids=["rate-m", "fpp"])
+    def test_nan_y_is_config_error(self, files, capsys, argv):
+        # rate_m(law, nan) was 1: rate printed it, fpp predicted exponent log 2
+        assert main([files.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", "config error: y must not be NaN\n")
 
     def test_walk_step_cap_exit(self, files, monkeypatch, capsys):
         monkeypatch.setattr(rwre, "_STEP_CAP", 1)
@@ -496,9 +516,21 @@ class TestBuildOnce:
             calls.append((spec.kind, depth))
             return real(spec, depth, **kwargs)
 
-        for module in (cli, branching, rwre):
+        for module in (cli, branching, rwre, trees):
             monkeypatch.setattr(module, "build_truncation", spy)
         return calls
+
+    def test_homogeneous_conductance_builds_nothing(self, files, builds, capsys):
+        assert main(["conductance", "--tree", files["hom2"], "--dist",
+                     files["a_law"], "--depth", "8", "--seeds", "3"]) == 0
+        assert builds == []
+
+    def test_family_conductance_builds_once(self, files, builds, tmp_path, capsys):
+        spec = tmp_path / "gw.json"
+        spec.write_text(json.dumps(GW_DOC))
+        assert main(["conductance", "--tree", str(spec), "--dist",
+                     files["a_law"], "--depth", "8", "--seeds", "3"]) == 0
+        assert builds == [("galton_watson", 8)]
 
     def test_tree_branching(self, files, builds, capsys):
         assert main(["tree", "--tree", files["hom2"], "--depth", "8",
@@ -540,3 +572,82 @@ class TestBuildOnce:
             doc["summary"].update(extra)
             assert with_br.read_text() == json.dumps(
                 doc, sort_keys=True, default=cli._fmt) + "\n"
+
+
+class TestHomogeneousConductance:
+    """`conductance` on a homogeneous spec reads `HomogeneousLevels` and
+    builds no tree; its output is the built tree's, byte for byte."""
+
+    def _run(self, argv, capsys) -> tuple[str, bytes]:
+        out = argv[argv.index("--out") + 1]
+        assert main(argv) == 0
+        with open(out, "rb") as fh:
+            return capsys.readouterr().out, fh.read()
+
+    @pytest.mark.parametrize("ground", [None, "3"])
+    @pytest.mark.parametrize("law", [A_LAW_DOC, WIDE_LAW_DOC], ids=["a2", "wide"])
+    @pytest.mark.parametrize("b,depth", [(1, 12), (2, 8), (3, 5)])
+    def test_bytes_match_the_built_tree(self, tmp_path, capsys, monkeypatch,
+                                        b, depth, law, ground):
+        spec_path, law_path = tmp_path / "spec.json", tmp_path / "law.json"
+        spec_path.write_text(json.dumps({"schema": 1, "kind": "homogeneous", "b": b}))
+        law_path.write_text(json.dumps(law))
+        argvs = [["conductance", "--tree", str(spec_path), "--dist", str(law_path),
+                  "--depth", str(depth), "--seeds", "5", "--seed", "11",
+                  "--workers", workers, "--format", fmt,
+                  "--out", str(tmp_path / f"out_{workers}.{fmt}")]
+                 + (["--ground-depth", ground] if ground else [])
+                 for workers in ("1", "3") for fmt in ("json", "csv")]
+        streamed = [self._run(argv, capsys) for argv in argvs]
+        monkeypatch.setattr(cli, "level_source", trees.build_truncation)
+        assert [self._run(argv, capsys) for argv in argvs] == streamed
+
+        tree = trees.build_truncation(TreeSpec.homogeneous(b), depth)
+        dist = Distribution.from_json(law)
+        ground_depth = int(ground) if ground else None
+        rows = json.loads(streamed[0][1])["rows"]
+        assert [row["conductance"].hex() for row in rows] == [
+            effective_conductance(tree, sample_environment(tree, dist, rng.derive(11, i)),
+                                  ground_depth).hex()
+            for i in range(5)]
+
+    def test_vertex_cap_checked_before_any_draw(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("TREELAB_VERTEX_CAP", "1000")
+        assert main(["tree", "--tree", files["hom2"], "--depth", "10"]) == 3
+        want = capsys.readouterr()
+
+        def no_draw(*args):
+            raise AssertionError("drew an environment over the vertex budget")
+
+        monkeypatch.setattr(cli, "sample_environment", no_draw)
+        assert main(["conductance", "--tree", files["hom2"], "--dist",
+                     files["a_law"], "--depth", "10"]) == 3
+        assert capsys.readouterr() == want
+        assert want.err == ("resource cap: truncation needs 2047 vertices, over the "
+                            "budget of 1000 (raise via TREELAB_VERTEX_CAP)\n")
+
+    @pytest.mark.parametrize("depth, err", [
+        ("0", "conductance needs truncation depth >= 1"),
+        ("-1", "depth must be >= 0"),
+    ])
+    def test_depth_errors(self, files, capsys, depth, err):
+        assert main(["conductance", "--tree", files["hom2"], "--dist",
+                     files["a_law"], f"--depth={depth}"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+
+@pytest.mark.parametrize("ground", [None, "3"])
+def test_conductance_of_an_extinct_family_tree_is_zero(files, tmp_path, capsys, ground):
+    # the root has no children: an empty level's child sums were int64, and
+    # the ratio step's in-place divide raised a numpy casting error
+    doc = {"schema": 1, "kind": "galton_watson", "seed": 0,
+           "offspring": {"schema": 1, "support": [0, 1], "weights": [0.5, 0.5]}}
+    assert trees.build_truncation(TreeSpec.from_json(doc), 6).level_sizes().tolist() == \
+        [1, 0, 0, 0, 0, 0, 0]
+    spec = tmp_path / "extinct.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["conductance", "--tree", str(spec), "--dist", files["a_law"],
+                 "--depth", "6", "--seeds", "2", "--format", "json", "--out", str(out)]
+                + (["--ground-depth", ground] if ground else [])) == 0
+    assert [row["conductance"] for row in json.loads(out.read_text())["rows"]] == [0.0, 0.0]

@@ -1,5 +1,6 @@
 """Tree generators, truncations, contraction, and serialization."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,39 @@ class TestLevelVocabulary:
                 want, want_m = t.level_parents(k)
                 assert group.dtype == np.int64 and group.tolist() == want.tolist()
                 assert m == want_m
+
+    def test_child_sums_add_children_in_id_order(self, seeded_rng):
+        for t in assorted_trees(seeded_rng):
+            for k in range(1, t.truncation_depth + 1):
+                sl = t.level_slice(k)
+                vals = 10.0 ** np.array([seeded_rng.uniform(-300, 300)
+                                         for _ in range(sl.start, sl.stop)])
+                want = []
+                for p in range(t.level_slice(k - 1).start, t.level_slice(k - 1).stop):
+                    acc = 0.0
+                    for c in range(t.children_slice(p).start, t.children_slice(p).stop):
+                        acc += vals[c - sl.start]
+                    want.append(acc.hex())
+                assert [x.hex() for x in t.child_sums(k, vals)] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_homogeneous_child_sums_match_the_built_tree(self, b, data):
+        # the conductance recursion sums h >= +0.0, which may be 0.0, below
+        # the normal range, near the largest double or inf; values near 1
+        # and 2**-53 make the rounding depend on the order of the adds
+        value = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-53,
+                                           1.7976931348623157e308, math.inf]),
+                          st.floats(0.5, 2.0), st.floats(0.0))
+        d = data.draw(st.integers(1, 6 if b <= 2 else 4 if b == 3 else 3))
+        k = data.draw(st.integers(1, d))
+        vals = np.array(data.draw(st.lists(value, min_size=b**k, max_size=b**k)))
+        before = vals.copy()
+        got = HomogeneousLevels(b, d).child_sums(k, vals)
+        want = build_truncation(TreeSpec.homogeneous(b), d).child_sums(k, vals)
+        assert got.dtype == want.dtype == np.float64
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert np.array_equal(vals, before)
 
     def test_climb_matches_step_walk(self, seeded_rng):
         for t in assorted_trees(seeded_rng):
