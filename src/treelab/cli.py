@@ -21,8 +21,7 @@ from .errors import (ResourceCapError, UnsupportedCaseError, ValidationError,
                      jsonable, parse)
 from .ratecalc import (Distribution, dual_p, exact_tail, gamma, m_inverse,
                        p_value, rate_m, summarize)
-from .trees import (HomogeneousLevels, TreeSpec, build_truncation, contract_k,
-                    level_source, load_parent_list)
+from .trees import TreeSpec, build_truncation, contract_k, load_parent_list
 from .branching import cutset_min, estimate_branching, growth_rate
 from .networks import (capacity_flow, effective_conductance, sample_environment,
                        weighted_cut_inf)
@@ -215,16 +214,15 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _per_replicate(args, source, draw, measure) -> list[dict]:
+def _per_replicate(args, draw, measure) -> list[dict]:
     """Rows {"replicate": i, **measure(sample, i)}, one per replicate i of
-    the --tree/--dist pair, where `source(spec, depth)` gives the tree (or
-    its levels) once and `draw(tree, law, seed)` (an environment or passage
-    times) makes the sample with the seed (--seed, i).  Each draw checks its
-    law and fills its tables; threads that fill one at once compute equal
-    arrays."""
+    the --tree/--dist pair on the tree built once, where `draw(tree, law,
+    seed)` (an environment or passage times) makes the sample with the seed
+    (--seed, i).  Each draw checks its law and fills its tables; threads
+    that fill one at once compute equal arrays."""
     spec = _load_spec(args)
     law = Distribution.load(_need(args.dist, "dist"))
-    tree = source(spec, args.depth)
+    tree = build_truncation(spec, args.depth)
 
     def one(i: int) -> dict:
         sample = draw(tree, law, rng.derive(args.seed, i))
@@ -241,13 +239,10 @@ def _spread(rows: list[dict], key: str) -> dict:
 
 def _cmd_conductance(args) -> int:
     def measure(env, i: int) -> dict:
-        ground = args.ground_depth
-        if ground is None and isinstance(env.tree, HomogeneousLevels):
-            ground = args.depth  # every b-ary frontier vertex is extendable
-        return {"conductance": effective_conductance(env.tree, env,
-                                                     ground_depth=ground)}
+        return {"conductance": effective_conductance(
+            env.tree, env, ground_depth=args.ground_depth)}
 
-    rows = _per_replicate(args, level_source, sample_environment, measure)
+    rows = _per_replicate(args, sample_environment, measure)
     _emit(rows, _spread(rows, "conductance"), args)
     return EXIT_OK
 
@@ -258,7 +253,7 @@ def _cmd_flow(args) -> int:
             return {"flow": weighted_cut_inf(env.tree, env, args.w)}
         return {"flow": capacity_flow(env)}
 
-    rows = _per_replicate(args, build_truncation, sample_environment, measure)
+    rows = _per_replicate(args, sample_environment, measure)
     _emit(rows, _spread(rows, "flow"), args)
     return EXIT_OK
 
@@ -271,7 +266,7 @@ def _cmd_walk(args) -> int:
             return {"estimate": est.probability, "stderr": est.stderr,
                     "exact": est.exact}
 
-        rows = _per_replicate(args, build_truncation, sample_environment, escape)
+        rows = _per_replicate(args, sample_environment, escape)
         _emit(rows, {"mean_estimate": float(np.mean([r["estimate"] for r in rows]))},
               args)
         return EXIT_OK
@@ -281,7 +276,7 @@ def _cmd_walk(args) -> int:
         return {"steps_taken": w.steps_taken, "returns_to_root": w.returns_to_root,
                 "max_depth": w.max_depth, "exited": w.exited_truncation}
 
-    rows = _per_replicate(args, build_truncation, sample_environment, walk)
+    rows = _per_replicate(args, sample_environment, walk)
     _emit(rows, {"mean_max_depth": float(np.mean([r["max_depth"] for r in rows]))},
           args)
     return EXIT_OK
@@ -314,7 +309,7 @@ def _cmd_percolate(args) -> int:
                     "survived": pp.survived, "edges": pp.n_edges}
 
         draw = sample_environment if args.proof == "rwre" else sample_passage_times
-        rows = _per_replicate(args, build_truncation, draw, measure)
+        rows = _per_replicate(args, draw, measure)
         _emit(rows, {"mean_q_hat": float(np.mean([r["q_hat"] for r in rows]))},
               args)
         return EXIT_OK

@@ -171,7 +171,8 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     """The shared part of `fpp_report`: a report with the predictions and no
     profiles yet, and the per-seed step that makes the profile of replicate
     i.  The caches every replicate reads (the law's sampling table, the
-    lineage mask) are built here, so the step may run on several threads."""
+    lineage mask, the parent ids) are built here, so the step may run on
+    several threads."""
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
@@ -184,7 +185,7 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     y = np.asarray(list(y_grid), dtype=np.float64)
     predicted_exp = np.array([math.log(m * br) if m > 0.0 else -math.inf
                               for m in (rate_m(law, float(yy)) for yy in y)])
-    law.image_table(), tree._lineage  # fill both caches before threads share them
+    law.image_table(), tree._lineage, tree.parent  # fill before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate,
                        y=y, predicted_exponents=predicted_exp)

@@ -9,17 +9,17 @@ products of A leave double range.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
-alone, in doubles, or on log h where an h leaves double range.  The levels
-come from a built tree or from `trees.HomogeneousLevels`, the b-ary layout
-by arithmetic, which the CLI reads for every homogeneous spec: no tree is
-built, and each level's sums over children (`child_sums`) are b strided
-adds instead of a scatter through parent ids.  Levels are
-drawn straight from the law's image tables (`Distribution.image_table`):
-log A, and for the double path exp(log A), which has the bits of exp taken
-of a stored log A, so no level takes a log or exp pass.  Flows are min-cuts
-over sum(C_v), computed on log C by the leaf-to-root DP of
-`branching.log_min_cut` and exponentiated once, so they are exact over the
-double range: 0.0 means a flow below it, inf one above it.
+alone, in doubles, or on log h where an h leaves double range.  On a
+homogeneous truncation (`trees.HomogeneousLevels`, the b-ary layout by
+arithmetic) it reads no vertex array: each level's sums over children
+(`child_sums`) are b strided adds instead of a scatter through parent ids,
+and the whole frontier is grounded.  Levels are drawn straight from the
+law's image tables (`Distribution.image_table`): log A, and for the double
+path exp(log A), which has the bits of exp taken of a stored log A, so no
+level takes a log or exp pass.  Flows are min-cuts over sum(C_v), computed
+on log C by the leaf-to-root DP of `branching.log_min_cut` and
+exponentiated once, so they are exact over the double range: 0.0 means a
+flow below it, inf one above it.
 
 The truncation's extendable frontier is treated as a single grounded node,
 the standard finite approximant of conductance to infinity: values are exact
@@ -60,12 +60,11 @@ class Environment:
 
     `log_a` and `log_c` are computed on first read and then kept; arrays
     passed to the constructor are used as given.  Reads from several threads
-    at once may each compute an array, with the same values.  `tree` may be
-    a `HomogeneousLevels` for the level reads and `log_a`; `log_c` needs a
-    `Tree`.
+    at once may each compute an array, with the same values.  The level
+    reads (`level_log_a`, `slice_log_a`) use no vertex array of the tree.
     """
 
-    def __init__(self, tree: Tree | HomogeneousLevels, law: Distribution, seed: int,
+    def __init__(self, tree: Tree, law: Distribution, seed: int,
                  log_a: np.ndarray | None = None, log_c: np.ndarray | None = None):
         self.tree = tree
         self.law = law
@@ -110,8 +109,7 @@ class Environment:
         return _edge_log_values(self.law, self._key, range(sl.start, sl.stop), exp)
 
 
-def sample_environment(tree: Tree | HomogeneousLevels, law: Distribution,
-                       seed: int) -> Environment:
+def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
     """The environment of i.i.d. ratios A_v keyed by (seed, vertex id).
 
     Values are independent of traversal order and worker count, and agree on
@@ -141,15 +139,14 @@ def _ratio_step(a, s):
     return a
 
 
-def effective_conductance(tree: Tree | HomogeneousLevels, env: Environment,
+def effective_conductance(tree: Tree, env: Environment,
                           ground_depth: int | None = None) -> float:
     """Conductance from the root to the grounded frontier, exact for the window.
 
     By default the ground is the extendable frontier, the proxy for infinity;
     pass `ground_depth` to ground every vertex at that depth instead (used by
     the escape-probability identity, where reaching a given depth is the
-    event of interest whether or not the branch continues).  `tree` may be a
-    `HomogeneousLevels` grounded at `ground_depth`.
+    event of interest whether or not the branch continues).
 
     The recursion h = A * (s / (1 + s)) runs from the grounded level to the
     root, reading one level of A at a time, and never forms C, so an
@@ -162,12 +159,10 @@ def effective_conductance(tree: Tree | HomogeneousLevels, env: Environment,
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
     if ground_depth is None:
-        if not isinstance(tree, Tree):
-            raise ValidationError("a HomogeneousLevels source needs ground_depth")
         depth = tree.truncation_depth
         if depth < 1:
             raise ValidationError("conductance needs truncation depth >= 1")
-        grounded = tree.extendable[tree.level_slice(depth)]
+        grounded = tree.frontier_mask()  # None: all of it, as ground_depth
     else:
         if not 1 <= ground_depth <= tree.truncation_depth:
             raise ValidationError("ground_depth must be in 1..truncation_depth")

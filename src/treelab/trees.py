@@ -6,9 +6,11 @@ which makes each level a contiguous id range, keeps children of one parent
 contiguous, and makes truncations at different depths prefix-consistent.
 A tree stores two arrays per vertex, `parent` and `extendable`, and one
 offset per level: level k is the id range [level_offsets[k],
-level_offsets[k+1]), so a vertex's depth is found from its id.  An explicit
-parent table is renumbered in the order of one BFS pass that visits children
-in id order: by depth, then by the parent's new id, then by the old id.
+level_offsets[k+1]), so a vertex's depth is found from its id; a
+`HomogeneousLevels` (the b-ary truncation) builds the two arrays only when
+they are read.  An explicit parent table is renumbered in the order of one
+BFS pass that visits children in id order: by depth, then by the parent's
+new id, then by the old id.
 Frontier vertices carry an `extendable` flag: True when the generator would
 give them successors beyond the window.  Dead-end leaves (vertices the
 generator stops at for good) stay non-extendable, so cut and flow semantics
@@ -226,63 +228,8 @@ def load_parent_list(path) -> TreeSpec:
 # Materialized trees
 # ---------------------------------------------------------------------------
 
-class _Levels:
-    """The level ranges of a BFS layout, from its `level_offsets`: level k
-    occupies [offsets[k], offsets[k+1])."""
-
-    def level_slice(self, k: int) -> slice:
-        off = self.level_offsets
-        return slice(int(off[k]), int(off[k + 1]))
-
-    def level_sizes(self) -> np.ndarray:
-        return np.diff(self.level_offsets)
-
-    def depth_of(self, ids):
-        """The level of each vertex id in `ids` (an int or an array)."""
-        return np.searchsorted(self.level_offsets, ids, "right") - 1
-
-
-@dataclass(frozen=True)
-class HomogeneousLevels(_Levels):
-    """The BFS layout of the depth-`truncation_depth` b-ary truncation, by
-    arithmetic: the level vocabulary of `Tree` (`n_vertices`,
-    `level_offsets`, `level_slice`, `level_parents`, `child_sums`) with no
-    vertex arrays.  Every frontier vertex is extendable."""
-
-    b: int
-    truncation_depth: int
-
-    @property
-    def n_vertices(self) -> int:
-        b, n = self.b, self.truncation_depth
-        return n + 1 if b == 1 else (b ** (n + 1) - 1) // (b - 1)
-
-    @cached_property
-    def level_offsets(self) -> np.ndarray:
-        return np.cumsum([0] + [self.b**k for k in range(self.truncation_depth + 1)])
-
-    def level_parents(self, k: int) -> tuple[np.ndarray, int]:
-        """As `Tree.level_parents`: the b children of a parent are adjacent."""
-        return np.arange(self.b**k) // self.b, self.b**(k - 1)
-
-    def child_sums(self, k: int, vals: np.ndarray) -> np.ndarray:
-        """As `Tree.child_sums`, by strided adds: parent p's children are
-        level-k offsets b*p .. b*p + b - 1.  The sums run in id order from
-        the first child, which has the bits of `np.bincount`'s 0.0 + v_0 +
-        v_1 + ... wherever v_0 is not -0.0; like it, a sum past double
-        range is inf with no warning."""
-        b = self.b
-        if b == 1:
-            return vals.copy()
-        with np.errstate(over="ignore"):
-            out = vals[0::b] + vals[1::b]
-            for j in range(2, b):
-                out += vals[j::b]
-        return out
-
-
 @dataclass
-class Tree(_Levels):
+class Tree:
     """A finite truncation in BFS layout; treat as immutable once built."""
 
     parent: np.ndarray          # int64; parent[0] == -1, then nondecreasing
@@ -301,6 +248,22 @@ class Tree(_Levels):
     @property
     def has_extendable_frontier(self) -> bool:
         return bool(self.extendable.any())
+
+    def frontier_mask(self) -> np.ndarray | None:
+        """The extendable flags of the deepest level, or None on a layout
+        whose frontier vertices are all extendable."""
+        return self.extendable[self.level_slice(self.truncation_depth)]
+
+    def level_slice(self, k: int) -> slice:
+        off = self.level_offsets
+        return slice(int(off[k]), int(off[k + 1]))
+
+    def level_sizes(self) -> np.ndarray:
+        return np.diff(self.level_offsets)
+
+    def depth_of(self, ids):
+        """The level of each vertex id in `ids` (an int or an array)."""
+        return np.searchsorted(self.level_offsets, ids, "right") - 1
 
     def children_slice(self, v: int) -> slice:
         """Ids of v's children: contiguous, as parent ids are nondecreasing."""
@@ -370,6 +333,72 @@ class Tree(_Levels):
         return self
 
 
+class HomogeneousLevels(Tree):
+    """The depth-`truncation_depth` b-ary truncation, its levels by
+    arithmetic.  `n_vertices` and `level_offsets` come from the closed form,
+    `level_parents` and `child_sums` need no vertex array, and every
+    frontier vertex is extendable.  `parent` and `extendable` are built on
+    first read (the heap layout: v's parent is (v - 1) // b) and frozen."""
+
+    def __init__(self, b: int, truncation_depth: int):
+        self.b, self._depth = b, truncation_depth
+
+    @property
+    def truncation_depth(self) -> int:
+        return self._depth
+
+    @property
+    def n_vertices(self) -> int:
+        b, n = self.b, self._depth
+        return n + 1 if b == 1 else (b ** (n + 1) - 1) // (b - 1)
+
+    @cached_property
+    def level_offsets(self) -> np.ndarray:
+        off = np.cumsum([0] + [self.b**k for k in range(self._depth + 1)], dtype=np.int64)
+        off.setflags(write=False)
+        return off
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        parent = np.arange(-1, self.n_vertices - 1, dtype=np.int64)
+        parent //= self.b
+        parent.setflags(write=False)
+        return parent
+
+    @cached_property
+    def extendable(self) -> np.ndarray:
+        ext = np.zeros(self.n_vertices, dtype=bool)
+        ext[self.level_slice(self._depth)] = True
+        ext.setflags(write=False)
+        return ext
+
+    @property
+    def has_extendable_frontier(self) -> bool:
+        return True
+
+    def frontier_mask(self) -> None:
+        return None
+
+    def level_parents(self, k: int) -> tuple[np.ndarray, int]:
+        """As `Tree.level_parents`: the b children of a parent are adjacent."""
+        return np.arange(self.b**k) // self.b, self.b**(k - 1)
+
+    def child_sums(self, k: int, vals: np.ndarray) -> np.ndarray:
+        """As `Tree.child_sums`, by strided adds: parent p's children are
+        level-k offsets b*p .. b*p + b - 1.  The sums run in id order from
+        the first child, which has the bits of `np.bincount`'s 0.0 + v_0 +
+        v_1 + ... wherever v_0 is not -0.0; like it, a sum past double
+        range is inf with no warning."""
+        b = self.b
+        if b == 1:
+            return vals.copy()
+        with np.errstate(over="ignore"):
+            out = vals[0::b] + vals[1::b]
+            for j in range(2, b):
+                out += vals[j::b]
+        return out
+
+
 def level_sizes(tree: Tree) -> np.ndarray:
     """Vertex counts per depth, M_0..M_n."""
     return tree.level_sizes()
@@ -416,16 +445,6 @@ def _assemble(parents_per_level: list[np.ndarray], depth_n: int,
     parent = np.concatenate([np.array([-1], dtype=np.int64)] + parents_per_level)
     return Tree(parent=parent, extendable=extendable,
                 level_offsets=np.cumsum(sizes, dtype=np.int64))._freeze()
-
-
-def _build_homogeneous(b: int, depth: int, cap: int) -> Tree:
-    layout = HomogeneousLevels(b, depth)
-    _check_cap(layout.n_vertices, cap)
-    levels = [layout.level_parents(k)[0] + layout.level_slice(k - 1).start
-              for k in range(1, depth + 1)]
-    ext = np.zeros(layout.n_vertices, dtype=bool)
-    ext[layout.level_slice(depth)] = True
-    return _assemble(levels, depth, ext)
 
 
 def _build_spine(spec: TreeSpec, depth: int, cap: int) -> Tree:
@@ -521,19 +540,6 @@ def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
     return tree._freeze()
 
 
-def level_source(spec: TreeSpec, depth: int) -> Tree | HomogeneousLevels:
-    """The levels of the depth-`depth` truncation, for code that reads them
-    one level at a time: a homogeneous spec at depth >= 1 gives its
-    `HomogeneousLevels`, checked against the vertex budget as if built; any
-    other gives the built tree.  Depth 0 is built (one vertex), so callers
-    see its errors and a negative depth's as `build_truncation` gives them."""
-    if spec.kind != "homogeneous" or depth < 1:
-        return build_truncation(spec, depth)
-    levels = HomogeneousLevels(spec.b, depth)
-    _check_cap(levels.n_vertices, effective_vertex_cap())
-    return levels
-
-
 def build_truncation(spec: TreeSpec, depth: int) -> Tree:
     """Materialize the depth-`depth` truncation of the spec's infinite tree.
 
@@ -545,7 +551,9 @@ def build_truncation(spec: TreeSpec, depth: int) -> Tree:
         raise ValidationError("depth must be >= 0")
     cap = effective_vertex_cap()
     if spec.kind == "homogeneous":
-        return _build_homogeneous(spec.b, depth, cap)
+        tree = HomogeneousLevels(spec.b, depth)
+        _check_cap(tree.n_vertices, cap)
+        return tree
     if spec.kind == "spine_with_leaves":
         return _build_spine(spec, depth, cap)
     if spec.kind == "galton_watson":

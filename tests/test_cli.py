@@ -520,10 +520,23 @@ class TestBuildOnce:
             monkeypatch.setattr(module, "build_truncation", spy)
         return calls
 
-    def test_homogeneous_conductance_builds_nothing(self, files, builds, capsys):
-        assert main(["conductance", "--tree", files["hom2"], "--dist",
-                     files["a_law"], "--depth", "8", "--seeds", "3"]) == 0
-        assert builds == []
+    def test_homogeneous_conductance_builds_nothing(self, files, builds, capsys,
+                                                    monkeypatch, tmp_path):
+        # the b-ary layout answers every read of conductance by arithmetic,
+        # on the double and the log path alike: no vertex array is built
+        def unread(tree):
+            raise AssertionError("conductance read a vertex array")
+
+        for name in ("parent", "extendable"):
+            monkeypatch.setattr(trees.HomogeneousLevels, name, property(unread))
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(WIDE_LAW_DOC))
+        for law in (files["a_law"], str(wide)):
+            for workers in ("1", "2"):
+                assert main(["conductance", "--tree", files["hom2"], "--dist", law,
+                             "--depth", "8", "--seeds", "3",
+                             "--workers", workers]) == 0
+        assert builds == [("homogeneous", 8)] * 4
 
     def test_family_conductance_builds_once(self, files, builds, tmp_path, capsys):
         spec = tmp_path / "gw.json"
@@ -574,9 +587,18 @@ class TestBuildOnce:
                 doc, sort_keys=True, default=cli._fmt) + "\n"
 
 
+def _plain_tree(spec: TreeSpec, depth: int) -> trees.Tree:
+    """The truncation as a plain `Tree`: bincount child sums, and the ground
+    read from its `extendable` flags."""
+    t = trees.build_truncation(spec, depth)
+    return trees.Tree(parent=t.parent, extendable=t.extendable,
+                      level_offsets=t.level_offsets)
+
+
 class TestHomogeneousConductance:
-    """`conductance` on a homogeneous spec reads `HomogeneousLevels` and
-    builds no tree; its output is the built tree's, byte for byte."""
+    """`conductance` on a homogeneous spec reads the arithmetic
+    `HomogeneousLevels`; its output is a plain built tree's, byte for
+    byte."""
 
     def _run(self, argv, capsys) -> tuple[str, bytes]:
         out = argv[argv.index("--out") + 1]
@@ -599,10 +621,10 @@ class TestHomogeneousConductance:
                  + (["--ground-depth", ground] if ground else [])
                  for workers in ("1", "3") for fmt in ("json", "csv")]
         streamed = [self._run(argv, capsys) for argv in argvs]
-        monkeypatch.setattr(cli, "level_source", trees.build_truncation)
+        monkeypatch.setattr(cli, "build_truncation", _plain_tree)
         assert [self._run(argv, capsys) for argv in argvs] == streamed
 
-        tree = trees.build_truncation(TreeSpec.homogeneous(b), depth)
+        tree = _plain_tree(TreeSpec.homogeneous(b), depth)
         dist = Distribution.from_json(law)
         ground_depth = int(ground) if ground else None
         rows = json.loads(streamed[0][1])["rows"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from treelab.errors import UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution
-from treelab.trees import HomogeneousLevels, TreeSpec, build_truncation, truncate
+from treelab.trees import HomogeneousLevels, Tree, TreeSpec, build_truncation, truncate
 from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_conductance,
                               homogeneous_constant_conductance, max_flow,
@@ -191,11 +191,21 @@ class TestEffectiveConductance:
         with pytest.raises(ValidationError):
             effective_conductance(t, sample_environment(t, UNIT, 0))
 
-    def test_level_source_needs_ground_depth(self):
-        # a HomogeneousLevels has no extendable flags to ground at
-        levels = HomogeneousLevels(2, 5)
-        with pytest.raises(ValidationError, match="ground_depth"):
-            effective_conductance(levels, sample_environment(levels, UNIT, 0))
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_homogeneous_default_ground_is_the_whole_frontier(self, b):
+        # every b-ary frontier vertex is extendable, so the default ground
+        # is the depth-n level, with or without the extendable flags
+        law = Distribution.uniform([0.5, 0.75, 1.5])
+        n = 5
+        levels = HomogeneousLevels(b, n)
+        env = sample_environment(levels, law, 3)
+        want = effective_conductance(levels, env, ground_depth=n).hex()
+        assert effective_conductance(levels, env).hex() == want
+        assert "extendable" not in vars(levels)
+        levels.extendable  # a plain tree's default ground reads the flags
+        plain = Tree(parent=levels.parent, extendable=levels.extendable,
+                     level_offsets=levels.level_offsets)
+        assert effective_conductance(plain, sample_environment(plain, law, 3)).hex() == want
 
 
 def _bits(x: float) -> str:

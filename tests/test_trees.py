@@ -314,15 +314,16 @@ class TestLevelVocabulary:
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
     def test_homogeneous_levels_match_the_built_tree(self, b):
         for d in range(8):
-            t = build_truncation(TreeSpec.homogeneous(b), d)
-            # the b-ary heap layout, canonicalized from a literal parent table
-            heap = build_truncation(
-                TreeSpec.explicit([(v - 1) // b for v in range(1, t.n_vertices)]), d)
-            assert t.parent.tolist() == heap.parent.tolist()
-            assert t.extendable.tolist() == heap.extendable.tolist()
-            levels = HomogeneousLevels(b, d)
+            levels = build_truncation(TreeSpec.homogeneous(b), d)
+            assert type(levels) is HomogeneousLevels
+            # the b-ary heap layout as a plain tree, canonicalized from a
+            # literal parent table
+            n = sum(b**j for j in range(d + 1))
+            t = build_truncation(TreeSpec.explicit([(v - 1) // b for v in range(1, n)]), d)
+            assert type(t) is Tree
             assert levels.truncation_depth == d
             assert levels.n_vertices == t.n_vertices
+            assert levels.has_extendable_frontier
             for k in range(d + 1):
                 assert levels.level_slice(k) == t.level_slice(k)
             for k in range(1, d + 1):
@@ -330,6 +331,12 @@ class TestLevelVocabulary:
                 want, want_m = t.level_parents(k)
                 assert group.dtype == np.int64 and group.tolist() == want.tolist()
                 assert m == want_m
+            # the arrays, built on first read, frozen
+            for name in ("level_offsets", "parent", "extendable"):
+                got, want = getattr(levels, name), getattr(t, name)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                assert not got.flags.writeable
+            validate_tree(levels)
 
     def test_child_sums_add_children_in_id_order(self, seeded_rng):
         for t in assorted_trees(seeded_rng):
@@ -358,8 +365,11 @@ class TestLevelVocabulary:
         k = data.draw(st.integers(1, d))
         vals = np.array(data.draw(st.lists(value, min_size=b**k, max_size=b**k)))
         before = vals.copy()
-        got = HomogeneousLevels(b, d).child_sums(k, vals)
-        want = build_truncation(TreeSpec.homogeneous(b), d).child_sums(k, vals)
+        got = build_truncation(TreeSpec.homogeneous(b), d).child_sums(k, vals)
+        # the bincount sums of the heap layout as a plain tree
+        n = sum(b**j for j in range(d + 1))
+        want = build_truncation(TreeSpec.explicit([(v - 1) // b for v in range(1, n)]),
+                                d).child_sums(k, vals)
         assert got.dtype == want.dtype == np.float64
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert np.array_equal(vals, before)
@@ -485,11 +495,13 @@ class TestBuildMemory:
         tracemalloc.start()
         try:
             t = build_truncation(HOM2, 18)
+            assert tracemalloc.get_traced_memory()[1] < 4096  # no vertex array yet
+            t.parent, t.extendable
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # parent (8 B) and extendable (1 B) are held; the levels are
-        # concatenated into parent once
+        # once read, parent (8 B) and extendable (1 B) are held, each built
+        # in place
         assert peak / t.n_vertices < 20
         vertex_arrays = sorted(name for name, value in vars(t).items()
                                if isinstance(value, np.ndarray)
