@@ -201,8 +201,8 @@ def proof_percolation_rwre(env: Environment, k: int, y: float,
     """
     if not 0.0 < y <= 1.0:
         raise ValidationError("y must lie in (0, 1]")
-    if not eps > 0.0:
-        raise ValidationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError("eps must lie in (0, inf)")
     tree = env.tree
     ctree = contract_k(tree, k)
     log_prod, min_a = _segment_folds(tree, ctree, env.log_a, k, np.minimum)
@@ -216,8 +216,8 @@ def proof_percolation_fpp(sample: PassageSample, k: int, y: float,
     every single edge time on the segment is at most big_m."""
     if not 0.0 <= y < math.inf:
         raise ValidationError("y must be finite and >= 0")
-    if not math.isfinite(big_m):
-        raise ValidationError("the per-edge bound must be finite")
+    if not 0.0 <= big_m < math.inf:
+        raise ValidationError("the per-edge bound must be finite and >= 0")
     tree = sample.tree
     ctree = contract_k(tree, k)
     seg_sum, max_x = _segment_folds(tree, ctree, sample.x, k, np.maximum)

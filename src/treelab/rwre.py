@@ -81,14 +81,21 @@ class ClassificationReport:
 
 
 def _analytic_level_counts(spec: TreeSpec, depth: int):
-    """(M_k, extendable-lineage level counts) for generators with closed forms."""
-    if spec.kind == "homogeneous":
-        m = [float(spec.b) ** k for k in range(depth + 1)]
-        return np.array(m), np.array(m)
-    if spec.kind == "spine_with_leaves":
-        m = [1.0] + [1.0 + spec.leaf_count_at(k - 1) for k in range(1, depth + 1)]
-        return np.array(m), np.ones(depth + 1)
-    return None
+    """(M_k, extendable-lineage level counts) for generators with closed
+    forms.  The counts are doubles, so a level past double range is a
+    ValidationError that names the largest depth supported."""
+    hom = spec.kind == "homogeneous"
+    if not hom and spec.kind != "spine_with_leaves":
+        return None
+    m = [1.0]
+    for k in range(1, depth + 1):
+        try:
+            m.append(float(spec.b) ** k if hom else 1.0 + spec.leaf_count_at(k - 1))
+        except OverflowError:
+            raise ValidationError(
+                f"depth must be <= {k - 1} on this tree: level {k} has more "
+                "vertices than a double holds") from None
+    return np.array(m), (np.array(m) if hom else np.ones(depth + 1))
 
 
 def _tree_level_counts(tree: Tree):

@@ -431,8 +431,12 @@ def validate_tree(tree: Tree) -> None:
 
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
+        try:
+            count = str(n)
+        except ValueError:  # past Python's digit limit for int to str
+            count = f"at least 2**{n.bit_length() - 1}"
         raise ResourceCapError(
-            f"truncation needs {n} vertices, over the budget of {cap} "
+            f"truncation needs {count} vertices, over the budget of {cap} "
             f"(raise via {_CAP_ENV_VAR})"
         )
 

@@ -79,9 +79,17 @@ ERRORS = (
                      "{inputs}/x2.json", "--depth", "6", "--y=-1"]),
     ("fpp-nan-y", ["fpp", *HOM2, "--dist", "{inputs}/x2.json", "--depth", "6",
                    "--ygrid", "nan"]),
+    ("bigm-negative", ["percolate", "--proof", "fpp", *HOM2, "--dist",
+                       "{inputs}/x2.json", "--depth", "6", "--bigm=-1"]),
+    ("eps-inf", ["percolate", "--proof", "rwre", *HOM2, "--dist",
+                 "{inputs}/a2.json", "--depth", "6", "--eps", "inf"]),
+    ("classify-depth-1024", ["classify", *HOM2, "--dist", "{inputs}/a2.json",
+                             "--depth", "1024"]),
     ("cap-tree", ["tree", *HOM2, "--depth", "40"]),
     ("cap-conductance", ["conductance", *HOM2, "--dist", "{inputs}/a2.json",
                          "--depth", "70"]),
+    ("cap-digit-limit", ["conductance", *HOM2, "--dist", "{inputs}/a2.json",
+                         "--depth", "20000"]),
     ("cap-flow", ["flow", *HOM2, "--dist", "{inputs}/a2.json", "--depth", "40"]),
     ("cap-walk", ["walk", *HOM2, "--dist", "{inputs}/a2.json", "--depth", "40"]),
     ("cap-fpp", ["fpp", *HOM2, "--dist", "{inputs}/x2.json", "--depth", "40",

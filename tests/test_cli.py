@@ -259,6 +259,65 @@ class TestExitCodes:
                      "--trials", "10"]) == 3
         assert "resource cap:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["tree"],
+        ["conductance", "--dist", "a_law"],
+        ["walk", "--dist", "a_law"],
+        ["fpp", "--dist", "x_law", "--ygrid", "0.5"],
+    ], ids=["tree", "conductance", "walk", "fpp"])
+    def test_count_past_the_digit_limit_is_a_resource_cap(self, files, capsys, argv):
+        # the budget message once raised ValueError formatting 2**20001 - 1,
+        # a number past Python's int-to-str digit limit
+        assert main(argv[:1] + ["--tree", files["hom2"], "--depth", "20000"]
+                    + [files.get(a, a) for a in argv[1:]]) == 3
+        assert capsys.readouterr() == ("", (
+            "resource cap: truncation needs at least 2**20000 vertices, over the "
+            "budget of 67108864 (raise via TREELAB_VERTEX_CAP)\n"))
+
+    @pytest.mark.parametrize("doc, last", [
+        (HOM2_DOC, 1023),
+        ({"schema": 1, "kind": "homogeneous", "b": 3}, 646),
+        ({"schema": 1, "kind": "spine_with_leaves"}, 1023),
+    ], ids=["hom2", "hom3", "spine"])
+    def test_classify_past_double_level_counts_is_config_error(self, files, tmp_path,
+                                                               capsys, doc, last):
+        # float(b)**k and the spine's leaf counts raised OverflowError
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["classify", "--tree", str(spec), "--dist", files["a_law"]]
+        for depth in (last + 1, last + 77):
+            assert main(argv + ["--depth", str(depth)]) == 2
+            assert capsys.readouterr() == ("", (
+                f"config error: depth must be <= {last} on this tree: level "
+                f"{last + 1} has more vertices than a double holds\n"))
+        assert main(argv + ["--depth", str(last)]) == 0
+
+    @pytest.mark.parametrize("argv, err", [
+        (["fpp", "x_law", "--bigm=-1"], "the per-edge bound must be finite and >= 0"),
+        (["fpp", "x_law", "--bigm=-inf"], "the per-edge bound must be finite and >= 0"),
+        (["fpp", "x_law", "--bigm=inf"], "the per-edge bound must be finite and >= 0"),
+        (["fpp", "x_law", "--bigm=nan"], "the per-edge bound must be finite and >= 0"),
+        (["rwre", "a_law", "--eps=inf"], "eps must lie in (0, inf)"),
+        (["rwre", "a_law", "--eps=nan"], "eps must lie in (0, inf)"),
+        (["rwre", "a_law", "--eps=0"], "eps must lie in (0, inf)"),
+        (["rwre", "a_law", "--eps=-1"], "eps must lie in (0, inf)"),
+    ])
+    def test_bad_proof_bound_is_config_error(self, files, capsys, argv, err):
+        # --bigm=-1 and --eps inf once printed q_hat = 0 with exit 0
+        proof, law, flag = argv
+        assert main(["percolate", "--proof", proof, "--tree", files["hom2"],
+                     "--dist", files[law], "--depth", "6", "--seeds", "2", flag]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+    def test_negative_zero_bound_is_zero(self, files, capsys):
+        outs = []
+        for bigm in ("0", "-0"):
+            assert main(["percolate", "--proof", "fpp", "--tree", files["hom2"],
+                         "--dist", files["x_law"], "--depth", "6", "--seeds", "2",
+                         f"--bigm={bigm}"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
     EXTREME_GRIDS = {
         "across-the-double-range": ([1e-300, 1e300], [
             "--y=1e-300,1e299,4.9e299", "--z=0.5000001,0.9",

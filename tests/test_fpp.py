@@ -104,7 +104,8 @@ class TestOneArraySample:
 
     def test_replicate_holds_one_vertex_array(self):
         # one float array of V entries plus chunk-size buffers; a copy of
-        # X or S held at once with it would pass 2 x 8V bytes
+        # X or S held at once with it would pass 2 x 8V bytes, and so would
+        # parent ids built in the replicate instead of in fpp_setup
         depth = 19
         v = 2 ** (depth + 1) - 1
         _, replicate = fpp_setup(HOM2, X32, depth, 1, np.arange(0.3, 1.0, 0.05),

@@ -93,6 +93,17 @@ class TestBuild:
         monkeypatch.setenv("TREELAB_VERTEX_CAP", "10000")
         assert build_truncation(HOM2, 12).n_vertices == 8191
 
+    def test_budget_message_names_any_count(self):
+        # a count Python prints (up to 4300 digits) appears in full; past that
+        # limit, formatting it raised ValueError, and a power of two below it
+        # is named instead
+        with pytest.raises(ResourceCapError, match=f"needs {'1' * 4001} vertices"):
+            build_truncation(TreeSpec.homogeneous(10), 4000)
+        n = (10**4401 - 1) // 9
+        with pytest.raises(ResourceCapError,
+                           match=rf"needs at least 2\*\*{n.bit_length() - 1} vertices"):
+            build_truncation(TreeSpec.homogeneous(10), 4400)
+
     def test_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("TREELAB_VERTEX_CAP", "100")
         with pytest.raises(ResourceCapError):
