@@ -41,7 +41,8 @@ TREES = (("hom1", "hom1.json", 8), ("hom2", "hom2.json", 8),
          ("hom3", "hom3.json", 6), ("spine", "spine.json", 6),
          ("gw", "gw.json", 8), ("table", "table.txt", 6))
 
-# the 11 subcommand forms: (name, argv after --tree/--depth)
+# the 11 subcommand forms: (name, the subcommand and its flags; --tree and
+# --depth go after the subcommand)
 FORMS = (
     ("tree-branching", ["tree", "--branching", "--cutset-lambda", "1.5"]),
     ("classify", ["classify", "--dist", "{inputs}/a2.json"]),
@@ -142,10 +143,7 @@ def run(argv: list[str], tmp: Path) -> dict:
     out_path = Path(real[real.index("--out") + 1]) if "--out" in real else None
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(real)
-        except SystemExit as exc:  # argparse
-            code = exc.code
+        code = cli.main(real)
     written = None
     if out_path is not None and out_path.exists():
         written = mask(out_path.read_text())
