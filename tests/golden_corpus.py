@@ -140,12 +140,12 @@ def run(argv: list[str], tmp: Path) -> dict:
         return text
 
     real = [fill(a) for a in argv]
-    out_path = Path(real[real.index("--out") + 1]) if "--out" in real else None
+    out_path = Path(real[real.index("--out") + 1])
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(real)
     written = None
-    if out_path is not None and out_path.exists():
+    if out_path.exists():
         written = mask(out_path.read_text())
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": mask(stdout.getvalue()),
