@@ -107,7 +107,8 @@ def _load_spec(args) -> TreeSpec:
 
 
 def _grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive ends, within half a step) or 'a,b,c'."""
+    """Parse 'start:stop:step' (inclusive ends, within half a step) or 'a,b,c';
+    a -0 is 0.0."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -117,7 +118,7 @@ def _grid(text: str) -> list[float]:
             raise ValidationError("grid step must be positive")
         n = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + i * step for i in range(max(n, 1))]
-    return [parse(float, p, "grid value") for p in text.split(",") if p]
+    return [parse(float, p, "grid value") + 0.0 for p in text.split(",") if p]
 
 
 def _replicated(fn, count: int, workers: int) -> list:
@@ -218,8 +219,9 @@ def _per_replicate(args, draw, measure) -> list[dict]:
     """Rows {"replicate": i, **measure(sample, i)}, one per replicate i of
     the --tree/--dist pair on the tree built once, where `draw(tree, law,
     seed)` (an environment or passage times) makes the sample with the seed
-    (--seed, i).  Each draw checks its law and fills its tables; threads
-    that fill one at once compute equal arrays."""
+    (--seed, i).  Each draw checks its law; a sample's arrays and the law's
+    tables are filled on first read, and threads that fill a table at once
+    compute equal arrays."""
     spec = _load_spec(args)
     law = Distribution.load(_need(args.dist, "dist"))
     tree = build_truncation(spec, args.depth)
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource cap: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except UnsupportedCaseError as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)

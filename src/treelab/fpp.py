@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError, jsonable
 from .ratecalc import Distribution, m_inverse, rate_m
+from .networks import Environment
 from .trees import Tree, TreeSpec, build_truncation, extendable_lineage
 from .branching import branching_number, estimate_branching
 from . import rng
@@ -28,44 +29,18 @@ from . import rng
 _TAG_PASSAGE = 0xF22A
 
 
-class PassageSample:
-    """Per-vertex root-path sums for one seed, with the per-edge times.
+class PassageSample(Environment):
+    """Passage times X_v (`x`, 0 at the root) and their root-path sums S_v
+    (`s`) for one seed: an `Environment` of times, drawn and filled alike."""
 
-    `s` is the only vertex-size array a sample holds: the times are drawn
-    into it and summed in place.  `x` is drawn again from the same keyed
-    counters on first read and then kept.  Reads from several threads at
-    once may each draw an array, with the same values.
-    """
-
-    def __init__(self, tree: Tree, law: Distribution, seed: int, s: np.ndarray):
-        self.tree = tree
-        self.law = law
-        self.seed = seed
-        self.s = s  # S_v = sum of X along the root path; S_root = 0
-        self._x: np.ndarray | None = None
-
-    @property
-    def x(self) -> np.ndarray:
-        """X_v; entry 0 (root) is 0.0 by convention."""
-        if self._x is None:
-            self._x = _draw_times(self.tree, self.law, self.seed)
-        return self._x
-
-
-def _draw_times(tree: Tree, law: Distribution, seed: int) -> np.ndarray:
-    """X_v keyed by (seed, vertex id), with 0.0 at the root."""
-    v = tree.n_vertices
-    x = np.zeros(v)
-    if v > 1:
-        law.sample_values(rng.derive(seed, _TAG_PASSAGE), range(1, v), out=x[1:])
-    return x
+    _tag, _image = _TAG_PASSAGE, None
+    x, s = Environment.log_a, Environment.log_c
 
 
 def sample_passage_times(tree: Tree, law: Distribution, seed: int) -> PassageSample:
-    """Draw i.i.d. edge times keyed by (seed, vertex id) and accumulate sums."""
-    law.require_x_type()
-    s = _draw_times(tree, law, seed)
-    return PassageSample(tree, law, seed, tree.sweep_down(s, out=s))
+    """i.i.d. edge times keyed by (seed, vertex id) and their sums; nothing
+    is drawn until the sample is read."""
+    return PassageSample(tree, law.require_x_type(), seed)
 
 
 def first_passage_min(sample: PassageSample, n: int) -> float:

@@ -4,8 +4,8 @@ Each non-root vertex v carries an i.i.d. transition ratio A_v; the edge above
 v gets conductance (or capacity) C_v, the product of A along the root path.
 An `Environment` is keyed by (tree, law, seed): every A_v is a pure function
 of (seed, v), so its arrays are filled on first read, and code that needs
-only some levels reads those.  Products are kept in log space because deep
-products of A leave double range.
+only some levels reads those (`fpp.PassageSample` is the same class over
+passage times).  Products are kept in log space: deep ones leave double range.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
@@ -48,21 +48,22 @@ def _exp_log(a: np.ndarray) -> np.ndarray:
     return np.exp(np.log(a))
 
 
-def _edge_log_values(law: Distribution, key: int, ids: range, exp: bool = False,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """log A for the vertex ids, keyed by (key, id), or exp(log A) if `exp`;
-    gathered from the law's image tables, into `out` if given."""
-    return law.sample_values(key, ids, out=out, image=_exp_log if exp else np.log)
-
-
 class Environment:
-    """Per-edge log ratios and per-vertex log cumulative conductances.
+    """Per-edge values and their root-path sums for one (tree, law, seed):
+    here log A_v and log C_v; a `fpp.PassageSample` is the same object over
+    times X_v and sums S_v.
 
-    `log_a` and `log_c` are computed on first read and then kept; arrays
-    passed to the constructor are used as given.  Reads from several threads
-    at once may each compute an array, with the same values.  The level
-    reads (`level_log_a`, `slice_log_a`) use no vertex array of the tree.
+    Values are drawn on first read.  Sums are filled on first read, from
+    the values if they are held (or were passed in), else from a fresh draw
+    swept in place in their own buffer, so reading one array never fills
+    the other.  Arrays passed to the constructor are used as given.  Reads
+    from several threads at once may each compute an array, with the same
+    values.  The level reads (`level_log_a`, `slice_log_a`) use no vertex
+    array of the tree.
     """
+
+    _tag = _TAG_EDGE_VALUES
+    _image = np.log  # of the drawn value; None keeps the value itself
 
     def __init__(self, tree: Tree, law: Distribution, seed: int,
                  log_a: np.ndarray | None = None, log_c: np.ndarray | None = None):
@@ -71,28 +72,35 @@ class Environment:
         self.seed = seed
         self._log_a = log_a
         self._log_c = log_c
-        self._key = rng.derive(seed, _TAG_EDGE_VALUES)
+        self._key = rng.derive(seed, self._tag)
 
     @property
     def n_vertices(self) -> int:
         return self.tree.n_vertices
 
+    def _draw(self) -> np.ndarray:
+        """The values of every vertex, keyed by (seed, id); 0 at the root."""
+        v = self.tree.n_vertices
+        vals = np.zeros(v)
+        if v > 1:
+            self.law.sample_values(self._key, range(1, v), out=vals[1:],
+                                   image=self._image)
+        return vals
+
     @property
     def log_a(self) -> np.ndarray:
         """log A_v; entry 0 (root) is 0 by convention."""
         if self._log_a is None:
-            v = self.tree.n_vertices
-            log_a = np.zeros(v)
-            if v > 1:
-                _edge_log_values(self.law, self._key, range(1, v), out=log_a[1:])
-            self._log_a = log_a
+            self._log_a = self._draw()
         return self._log_a
 
     @property
     def log_c(self) -> np.ndarray:
         """log C_v = sum of log A along the root path."""
         if self._log_c is None:
-            self._log_c = self.tree.sweep_down(self.log_a)
+            fresh = self._log_a is None  # then the draw is summed in place
+            vals = self._draw() if fresh else self._log_a
+            self._log_c = self.tree.sweep_down(vals, out=vals if fresh else None)
         return self._log_c
 
     def level_log_a(self, k: int, exp: bool = False) -> np.ndarray:
@@ -106,7 +114,8 @@ class Environment:
         `exp`, exp(log A_v) in a new array instead."""
         if self._log_a is not None:
             return np.exp(self._log_a[sl]) if exp else self._log_a[sl]
-        return _edge_log_values(self.law, self._key, range(sl.start, sl.stop), exp)
+        return self.law.sample_values(self._key, range(sl.start, sl.stop),
+                                      image=_exp_log if exp else self._image)
 
 
 def sample_environment(tree: Tree, law: Distribution, seed: int) -> Environment:
@@ -273,7 +282,7 @@ def homogeneous_conductance(spec: TreeSpec, law: Distribution, depth: int,
     and keyed draws as the built tree, bit for bit: the environment stays
     unread, so only two levels of values are held at a time and depths beyond
     the materialization budget remain reachable when b**depth values fit in
-    memory level by level.
+    memory level by level.  Past 2**60 vertices it raises `ResourceCapError`.
     """
     if spec.kind != "homogeneous":
         raise ValidationError("streaming conductance needs a homogeneous spec")

@@ -39,6 +39,7 @@ _CAP_ENV_VAR = "TREELAB_VERTEX_CAP"
 _TAG_OFFSPRING = 0x0FF5
 _TAG_ATTEMPT = 0xA77E
 _SWEEP_CHUNK = 1 << 16  # vertices per gather in `Tree.sweep_down`
+_MAX_VERTICES = 1 << 60  # 2**63 bytes of float64: no array of it fits
 
 _SPINE_RULES = {
     "pow2_minus_one": lambda d: 2 ** (d + 1) - 1,
@@ -333,15 +334,22 @@ class Tree:
         return self
 
 
+def _heap_size(b: int, n: int) -> int:
+    """The vertex count of the depth-n b-ary truncation."""
+    return n + 1 if b == 1 else (b ** (n + 1) - 1) // (b - 1)
+
+
 class HomogeneousLevels(Tree):
     """The depth-`truncation_depth` b-ary truncation, its levels by
     arithmetic.  `n_vertices` and `level_offsets` come from the closed form,
     `level_parents` and `child_sums` need no vertex array, and every
     frontier vertex is extendable.  `parent` and `extendable` are built on
-    first read (the heap layout: v's parent is (v - 1) // b) and frozen."""
+    first read (the heap layout: v's parent is (v - 1) // b) and frozen.  A
+    count of 2**60 or more vertices is a `ResourceCapError` at once."""
 
     def __init__(self, b: int, truncation_depth: int):
         self.b, self._depth = b, truncation_depth
+        _check_cap(self.n_vertices)
 
     @property
     def truncation_depth(self) -> int:
@@ -349,8 +357,7 @@ class HomogeneousLevels(Tree):
 
     @property
     def n_vertices(self) -> int:
-        b, n = self.b, self._depth
-        return n + 1 if b == 1 else (b ** (n + 1) - 1) // (b - 1)
+        return _heap_size(self.b, self._depth)
 
     @cached_property
     def level_offsets(self) -> np.ndarray:
@@ -429,16 +436,18 @@ def validate_tree(tree: Tree) -> None:
         raise ValidationError("only frontier vertices may be extendable")
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
+def _check_cap(n: int, cap: int | None = None) -> None:
+    """A `ResourceCapError` for n vertices over the budget `cap`, or with
+    no cap, for n past what a vertex array holds."""
+    if n > (cap or _MAX_VERTICES - 1):
         try:
             count = str(n)
         except ValueError:  # past Python's digit limit for int to str
             count = f"at least 2**{n.bit_length() - 1}"
         raise ResourceCapError(
-            f"truncation needs {count} vertices, over the budget of {cap} "
-            f"(raise via {_CAP_ENV_VAR})"
-        )
+            f"truncation needs {count} vertices, " + (
+                f"over the budget of {cap} (raise via {_CAP_ENV_VAR})" if cap
+                else "but vertex arrays hold fewer than 2**60"))
 
 
 def _assemble(parents_per_level: list[np.ndarray], depth_n: int,
@@ -555,9 +564,8 @@ def build_truncation(spec: TreeSpec, depth: int) -> Tree:
         raise ValidationError("depth must be >= 0")
     cap = effective_vertex_cap()
     if spec.kind == "homogeneous":
-        tree = HomogeneousLevels(spec.b, depth)
-        _check_cap(tree.n_vertices, cap)
-        return tree
+        _check_cap(_heap_size(spec.b, depth), cap)
+        return HomogeneousLevels(spec.b, depth)
     if spec.kind == "spine_with_leaves":
         return _build_spine(spec, depth, cap)
     if spec.kind == "galton_watson":

@@ -5,8 +5,9 @@ Each case is one in-process `treelab.cli.main(argv)` call.  Its record in
 stderr and the bytes written to `--out` (null when no file was written).
 Paths in argv are written `{inputs}/...` (the files in `tests/golden/inputs`)
 and `{tmp}/...` (a scratch directory); the same placeholders stand for those
-directories in recorded output.  `tests/test_golden.py` reruns every case and
-diffs.
+directories in recorded output.  A case run with environment variables
+(`environment(name)`) holds them under "env".  `tests/test_golden.py` reruns
+every case and diffs.
 
 The bits are those of the numpy version in `tests/golden/manifest.json`.
 Regenerate every record, or only the named ones, from the repository root:
@@ -26,6 +27,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -103,6 +105,18 @@ ERRORS = (
                          "{inputs}/zero.json", "--depth", "6", "--seeds", "3"]),
 )
 
+# exit 3 past the vertex ids of an int64, run with the budget lifted by the
+# environment (`UNCAPPED`); the records hold it under "env"
+PAST_IDS = (
+    ("ids-tree-62", ["tree", *HOM2, "--depth", "62"]),
+    ("ids-tree-70", ["tree", *HOM2, "--depth", "70"]),
+    ("ids-conductance-62", ["conductance", *HOM2, "--dist", "{inputs}/a2.json",
+                            "--depth", "62"]),
+    ("ids-conductance-70", ["conductance", *HOM2, "--dist", "{inputs}/a2.json",
+                            "--depth", "70"]),
+)
+UNCAPPED = {"TREELAB_VERTEX_CAP": str(10**30)}
+
 
 def cases() -> dict[str, list[str]]:
     """Every case's argv by name, with placeholders."""
@@ -120,13 +134,19 @@ def cases() -> dict[str, list[str]]:
                 "rate", "--dist", "{inputs}/x2.json", "--op", "summary",
                 "--y", "0.3:0.9:0.3", "--z", "0.5,0.9", "--a", "0.5,1.5"] + tail
             if fmt == "json":
-                for name, argv in ERRORS:
+                for name, argv in ERRORS + PAST_IDS:
                     out[f"error-{name}-w{workers}"] = argv + tail
     return out
 
 
-def run(argv: list[str], tmp: Path) -> dict:
-    """The record of one case, run in this process with `tmp` as {tmp}."""
+def environment(name: str) -> dict[str, str]:
+    """The variables case `name` runs with, beside the default budget."""
+    return UNCAPPED if name.startswith("error-ids-") else {}
+
+
+def run(argv: list[str], tmp: Path, env: dict[str, str] | None = None) -> dict:
+    """The record of one case, run in this process with `tmp` as {tmp} and
+    the variables `env` set for the call."""
     dirs = {"{inputs}": str(INPUTS), "{tmp}": str(tmp)}
 
     def fill(text: str) -> str:
@@ -142,14 +162,18 @@ def run(argv: list[str], tmp: Path) -> dict:
     real = [fill(a) for a in argv]
     out_path = Path(real[real.index("--out") + 1])
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
         code = cli.main(real)
     written = None
     if out_path.exists():
         written = mask(out_path.read_text())
         out_path.unlink()
-    return {"argv": argv, "exit": code, "stdout": mask(stdout.getvalue()),
-            "stderr": mask(stderr.getvalue()), "out": written}
+    record = {"argv": argv, "exit": code, "stdout": mask(stdout.getvalue()),
+              "stderr": mask(stderr.getvalue()), "out": written}
+    if env:
+        record["env"] = env
+    return record
 
 
 def load(name: str) -> dict:
@@ -165,7 +189,7 @@ def regenerate(names: list[str]) -> None:
     os.environ.pop("TREELAB_VERTEX_CAP", None)  # the default budget
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or every:
-            record = run(every[name], Path(tmp))
+            record = run(every[name], Path(tmp), environment(name))
             (CASES_DIR / f"{name}.json").write_text(
                 json.dumps(record, indent=1, sort_keys=True) + "\n")
     MANIFEST.write_text(json.dumps(

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from treelab import branching, cli, rng, rwre, trees
@@ -70,6 +71,15 @@ class TestOutputs:
         out = capsys.readouterr().out
         header = out.splitlines()[0].split()
         assert header == ["q", "depth", "survival", "mc_survival", "mc_stderr"]
+
+    def test_negative_zero_q_prints_zero(self, files, capsys):
+        outs = []
+        for q in ("0,0.5", "-0,0.5"):
+            assert main(["percolate", "--tree", files["hom2"], f"--q={q}",
+                         "--depth", "6"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[1].out.splitlines()[1].split()[0] == "0"
 
     def test_fpp_report_json(self, files, tmp_path, capsys):
         out_path = str(tmp_path / "fpp.json")
@@ -395,6 +405,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "condition_nonextinct" in err
 
+    def test_out_of_memory_is_a_resource_cap(self, files, capsys, monkeypatch):
+        # a vertex array numpy cannot allocate, with no real allocation
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "effective_conductance", no_memory)
+        assert main(["conductance", "--tree", files["hom2"], "--dist",
+                     files["a_law"], "--depth", "4"]) == 3
+        assert capsys.readouterr() == ("", (
+            "resource cap: out of memory: Unable to allocate 4.00 EiB for an "
+            "array\n"))
+
     def test_library_key_error_is_not_a_config_error(self, files, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -557,6 +579,59 @@ def test_workers_do_not_change_json(files, tmp_path, argv):
                             "--format", "json", "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+class TestFillPolicy:
+    """What one replicate draws and sweeps: each whole-tree draw of
+    `Distribution.sample_values` (its id count) and each `Tree.sweep_down`
+    (its op, and whether it folds its input in place)."""
+
+    DEPTH = 8
+    V = 2 ** (DEPTH + 1) - 1
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        draw, sweep = Distribution.sample_values, trees.Tree.sweep_down
+
+        def draw_spy(law, key, counters, out=None, image=None):
+            calls.append(("draw", len(counters)))
+            return draw(law, key, counters, out=out, image=image)
+
+        def sweep_spy(tree, vals, op=np.add, out=None):
+            calls.append(("sweep", op.__name__, out is vals))
+            return sweep(tree, vals, op, out)
+
+        monkeypatch.setattr(Distribution, "sample_values", draw_spy)
+        monkeypatch.setattr(trees.Tree, "sweep_down", sweep_spy)
+        return calls
+
+    @pytest.mark.parametrize("w", [[], ["--w", "0.9"]], ids=["flow", "weighted"])
+    def test_flow_sums_a_fresh_draw_in_place(self, files, calls, capsys,
+                                             monkeypatch, w):
+        envs = []
+
+        def recording(*args):
+            envs.append(sample_environment(*args))
+            return envs[-1]
+
+        monkeypatch.setattr(cli, "sample_environment", recording)
+        assert main(["flow", "--tree", files["hom2"], "--dist", files["a_law"],
+                     "--depth", str(self.DEPTH)] + w) == 0
+        assert calls == [("draw", self.V - 1), ("sweep", "add", True)]
+        assert envs[0]._log_a is None and envs[0]._log_c is not None
+
+    def test_fpp_sums_a_fresh_draw_in_place(self, files, calls, capsys):
+        assert main(["fpp", "--tree", files["hom2"], "--dist", files["x_law"],
+                     "--depth", str(self.DEPTH), "--ygrid", "0.5"]) == 0
+        assert calls == [("draw", self.V - 1), ("sweep", "add", True)]
+
+    def test_proof_fpp_draws_the_times_alone(self, files, calls, capsys):
+        # the only sweep is the reached set of the contraction
+        assert main(["percolate", "--proof", "fpp", "--tree", files["hom2"],
+                     "--dist", files["x_law"], "--depth", str(self.DEPTH),
+                     "--k", "2"]) == 0
+        assert calls == [("draw", self.V - 1), ("sweep", "logical_and", False)]
 
 
 # a complete binary tree of depth 6 as a literal parent table

@@ -15,7 +15,7 @@ def test_cli_output_matches_the_corpus(tmp_path, monkeypatch):
     differ = []
     for name, argv in every.items():
         want = golden_corpus.load(name)
-        got = golden_corpus.run(argv, tmp_path)
+        got = golden_corpus.run(argv, tmp_path, golden_corpus.environment(name))
         if got != want:
             differ.append(name + ": " + ", ".join(
                 key for key in want if got.get(key) != want[key]))

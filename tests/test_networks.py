@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelab.errors import UnsupportedCaseError, ValidationError
+from treelab.errors import ResourceCapError, UnsupportedCaseError, ValidationError
 from treelab.ratecalc import Distribution
 from treelab.trees import HomogeneousLevels, Tree, TreeSpec, build_truncation, truncate
 from treelab.networks import (Environment, capacity_flow, effective_conductance,
@@ -18,10 +18,12 @@ from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_constant_conductance, max_flow,
                               sample_environment, weighted_cut_inf)
 from treelab.branching import cutset_min
-from treelab import networks, rng
+from treelab import networks, rng, trees
+from treelab.fpp import sample_passage_times
 
 import oracles
-from conftest import random_explicit_spec, table_depth
+from conftest import (assert_bits_equal, assorted_trees, random_a_law,
+                      random_explicit_spec, random_x_law, table_depth)
 
 HOM2 = TreeSpec.homogeneous(2)
 UNIT = Distribution.point(1.0)
@@ -127,6 +129,23 @@ class TestLazyEnvironment:
         assert effective_conductance(t, env) == pytest.approx(
             1 / sum(2.0**-k for k in range(1, 6)), rel=1e-12)
 
+    def test_sums_read_first_are_the_sweep_of_the_values(self, seeded_rng,
+                                                           monkeypatch):
+        # sums filled from their own draw, swept in place, have the bits of
+        # the sweep of the values read afterwards, for both sample types
+        monkeypatch.setattr(trees, "_SWEEP_CHUNK", 3)  # chunks split levels
+        for i, tree in enumerate(assorted_trees(seeded_rng)):
+            for sample, sums, vals in (
+                    (sample_environment(tree, random_a_law(seeded_rng), i),
+                     "log_c", "log_a"),
+                    (sample_passage_times(tree, random_x_law(seeded_rng), i),
+                     "s", "x")):
+                first = getattr(sample, sums)
+                assert sample._log_a is None
+                values = getattr(sample, vals)
+                assert values is not first
+                assert_bits_equal(first, tree.sweep_down(values))
+
     @pytest.mark.parametrize("spec,law", SPECS_AND_LAWS)
     def test_conductance_same_bits_once_read(self, spec, law):
         t = build_truncation(spec, 8)
@@ -178,6 +197,13 @@ class TestEffectiveConductance:
             env = sample_environment(t, law, seed)
             assert homogeneous_conductance(HOM2, law, 11, seed) == pytest.approx(
                 effective_conductance(t, env), rel=1e-12)
+
+    def test_streaming_past_int64_ids_is_a_resource_cap(self):
+        # the closed-form count once overflowed the int64 level offsets
+        law = Distribution.uniform([0.5, 0.75])
+        for depth in (60, 62, 70, 20000):
+            with pytest.raises(ResourceCapError, match="fewer than 2\\*\\*60"):
+                homogeneous_conductance(HOM2, law, depth, 0)
 
     def test_ground_depth_series(self):
         t = build_truncation(PATH5, 5)

@@ -104,6 +104,19 @@ class TestBuild:
                            match=rf"needs at least 2\*\*{n.bit_length() - 1} vertices"):
             build_truncation(TreeSpec.homogeneous(10), 4400)
 
+    def test_counts_past_int64_ids_are_a_resource_cap(self, monkeypatch):
+        # 2**60 doubles are 2**63 bytes: no vertex array of that count exists,
+        # and the int64 level offsets overflowed past 2**63 vertices.  The
+        # largest counts below the limit construct, with no array built.
+        monkeypatch.setenv("TREELAB_VERTEX_CAP", str(10**30))
+        for b, depth in ((2, 60), (2, 62), (2, 70), (3, 38), (1, 2**60 - 1)):
+            with pytest.raises(ResourceCapError, match=r"fewer than 2\*\*60"):
+                HomogeneousLevels(b, depth)
+            with pytest.raises(ResourceCapError, match=r"fewer than 2\*\*60"):
+                build_truncation(TreeSpec.homogeneous(b), depth)
+        assert HomogeneousLevels(2, 59).n_vertices == 2**60 - 1
+        assert HomogeneousLevels(1, 2**60 - 2).n_vertices == 2**60 - 1
+
     def test_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("TREELAB_VERTEX_CAP", "100")
         with pytest.raises(ResourceCapError):
