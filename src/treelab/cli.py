@@ -138,12 +138,13 @@ def _cmd_tree(args) -> int:
     full = tree = build_truncation(spec, args.depth)
     if args.contract is not None:
         tree = contract_k(tree, args.contract)
-    rows = [{"level": k, "count": int(c)}
-            for k, c in enumerate(tree.level_sizes())]
+    sizes, mask = tree.level_sizes(), tree.frontier_mask()
+    rows = [{"level": k, "count": int(c)} for k, c in enumerate(sizes)]
     summary = {
         "vertices": tree.n_vertices,
         "growth_rate": growth_rate(tree),
-        "extendable_frontier": int(tree.extendable.sum()),
+        # extendable vertices lie on the frontier level; None: all of it
+        "extendable_frontier": int(sizes[-1] if mask is None else mask.sum()),
     }
     if args.branching:
         est = estimate_branching(full, args.tol)

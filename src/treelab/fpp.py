@@ -9,6 +9,12 @@ log(m(y) br) of the boundary set transited at rate y.  Level counts follow
 the full level (their expectation is M_n times an exact tail), while the
 minimum is restricted to lineages that actually continue, so dead ends never
 fake a fast ray.
+
+S is the times swept down in place (`Tree.sweep_down`).  On a built tree
+the sweep gathers parent ids; on a homogeneous truncation
+(`trees.HomogeneousLevels`) it adds each parent level, broadcast, onto its
+rows of b children, with the same bits, and the lineage mask is all True,
+so no vertex array of the tree is built.
 """
 
 from __future__ import annotations
@@ -145,9 +151,8 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
               ) -> tuple[FppReport, Callable[[int], ProfileStats]]:
     """The shared part of `fpp_report`: a report with the predictions and no
     profiles yet, and the per-seed step that makes the profile of replicate
-    i.  The caches every replicate reads (the law's sampling table, the
-    lineage mask, the parent ids) are built here, so the step may run on
-    several threads."""
+    i.  The caches every replicate reads (the law's sampling table and the
+    lineage mask) are built here, so the step may run on several threads."""
     law.require_x_type()
     if seeds < 1:
         raise ValidationError("need at least one seed")
@@ -160,7 +165,7 @@ def fpp_setup(spec: TreeSpec, law: Distribution, depth: int, seeds: int,
     y = np.asarray(list(y_grid), dtype=np.float64)
     predicted_exp = np.array([math.log(m * br) if m > 0.0 else -math.inf
                               for m in (rate_m(law, float(yy)) for yy in y)])
-    law.image_table(), tree._lineage, tree.parent  # fill before threads share them
+    law.image_table(), tree._lineage  # fill before threads share them
     report = FppReport(spec=spec, law=law, depth=depth, branching=br,
                        branching_is_exact=br_exact, predicted_rate=predicted_rate,
                        y=y, predicted_exponents=predicted_exp)

@@ -6,6 +6,10 @@ An `Environment` is keyed by (tree, law, seed): every A_v is a pure function
 of (seed, v), so its arrays are filled on first read, and code that needs
 only some levels reads those (`fpp.PassageSample` is the same class over
 passage times).  Products are kept in log space: deep ones leave double range.
+log C is log A swept down the root paths (`Tree.sweep_down`): by gathered
+parent ids on a built tree, and on a homogeneous truncation by adding each
+parent level, broadcast, onto its rows of b children, with the same bits
+and no vertex array.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A

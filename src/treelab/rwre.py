@@ -302,7 +302,7 @@ def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndar
         if len(ids) == 0:
             raise ValidationError("vertex 0 has no incident conductance")
     else:
-        ids = np.concatenate(([tree.parent[vertex]], kid_ids))
+        ids = np.concatenate((tree.climb(np.array([vertex], np.int64)), kid_ids))
         log_w = np.concatenate(([0.0], log_w))
     weights = np.exp(log_w - log_w.max())
     return ids, weights / weights.sum()
@@ -356,13 +356,19 @@ def simulate_walk(env: Environment, steps: int, seed: int,
     kernel = _KernelCache(env)
     gen = rng.generator(env.seed, _TAG_WALK, seed)
     transitions: dict[int, dict[int, int]] | None = {} if record_transitions else None
+    # extendable vertices lie on the frontier level, which starts at `front`
+    front, mask = int(tree.level_offsets[tree.truncation_depth]), tree.frontier_mask()
+
+    def extendable(v: int) -> bool:
+        return v >= front and (mask is None or bool(mask[v - front]))
+
     v = 0
     returns = 0
     deepest = 0  # ids grow with depth, so the largest id visited is deepest
     taken = 0
-    exited = bool(tree.extendable[0])
+    exited = extendable(0)
     for _ in range(steps):
-        if tree.extendable[v]:
+        if extendable(v):
             exited = True
             break
         nxt = _step(kernel.row(v), gen.random())
@@ -374,7 +380,7 @@ def simulate_walk(env: Environment, steps: int, seed: int,
         deepest = max(deepest, v)
         returns += v == 0
     else:
-        exited = exited or bool(tree.extendable[v])
+        exited = exited or extendable(v)
     return WalkSummary(steps_taken=taken, returns_to_root=returns,
                        max_depth=int(tree.depth_of(deepest)),
                        exited_truncation=exited, transition_counts=transitions)

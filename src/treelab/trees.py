@@ -38,7 +38,7 @@ _CAP_ENV_VAR = "TREELAB_VERTEX_CAP"
 
 _TAG_OFFSPRING = 0x0FF5
 _TAG_ATTEMPT = 0xA77E
-_SWEEP_CHUNK = 1 << 16  # vertices per gather in `Tree.sweep_down`
+_SWEEP_CHUNK = 1 << 16  # vertices per parent gather of a `Tree` sweep
 _MAX_VERTICES = 1 << 60  # 2**63 bytes of float64: no array of it fits
 
 _SPINE_RULES = {
@@ -297,8 +297,7 @@ class Tree:
         array of the shape and dtype of `vals` (`vals` itself folds in
         place), receives the folds instead of a new array.
 
-        Levels go top-down; parents are gathered a chunk at a time into one
-        reused buffer, so no level-size temporary is built.
+        Levels go top-down, each folded in place by `_fold_level`.
         """
         if out is None:
             out = np.array(vals)
@@ -306,15 +305,21 @@ class Tree:
             raise ValueError("out must have the shape and dtype of vals")
         elif out is not vals:
             np.copyto(out, vals)
-        buf = np.empty(min(_SWEEP_CHUNK, self.n_vertices), dtype=out.dtype)
         for k in range(2, self.truncation_depth + 1):
-            sl = self.level_slice(k)
-            for lo in range(sl.start, sl.stop, _SWEEP_CHUNK):
-                hi = min(lo + _SWEEP_CHUNK, sl.stop)
-                b = buf[:hi - lo]
-                np.take(out, self.parent[lo:hi], out=b)
-                op(out[lo:hi], b, out=out[lo:hi])
+            self._fold_level(out, k, op)
         return out
+
+    def _fold_level(self, out: np.ndarray, k: int, op) -> None:
+        """out[v] = op(out[v], out[parent(v)]) over level k >= 2.  Parents
+        are gathered a chunk at a time into one buffer, so no level-size
+        temporary is built."""
+        sl = self.level_slice(k)
+        buf = np.empty(min(_SWEEP_CHUNK, sl.stop - sl.start), dtype=out.dtype)
+        for lo in range(sl.start, sl.stop, _SWEEP_CHUNK):
+            hi = min(lo + _SWEEP_CHUNK, sl.stop)
+            b = buf[:hi - lo]
+            np.take(out, self.parent[lo:hi], out=b)
+            op(out[lo:hi], b, out=out[lo:hi])
 
     @cached_property
     def _lineage(self) -> np.ndarray:
@@ -341,11 +346,13 @@ def _heap_size(b: int, n: int) -> int:
 
 class HomogeneousLevels(Tree):
     """The depth-`truncation_depth` b-ary truncation, its levels by
-    arithmetic.  `n_vertices` and `level_offsets` come from the closed form,
-    `level_parents` and `child_sums` need no vertex array, and every
-    frontier vertex is extendable.  `parent` and `extendable` are built on
-    first read (the heap layout: v's parent is (v - 1) // b) and frozen.  A
-    count of 2**60 or more vertices is a `ResourceCapError` at once."""
+    arithmetic on the heap layout: v's children are b*v + 1 .. b*v + b and
+    its parent is (v - 1) // b.  `n_vertices` and `level_offsets` come from
+    the closed form; `children_slice`, `climb`, `level_parents`,
+    `child_sums`, the `sweep_down` folds and the lineage mask (all True:
+    every frontier vertex is extendable) need no vertex array.  Only a
+    direct read of `parent` or `extendable` builds one, frozen.  A count of
+    2**60 or more vertices is a `ResourceCapError` at once."""
 
     def __init__(self, b: int, truncation_depth: int):
         self.b, self._depth = b, truncation_depth
@@ -385,6 +392,27 @@ class HomogeneousLevels(Tree):
 
     def frontier_mask(self) -> None:
         return None
+
+    def children_slice(self, v: int) -> slice:
+        """As `Tree.children_slice`: empty (at n_vertices) on the frontier."""
+        n, first = self.n_vertices, self.b * int(v) + 1
+        return slice(min(first, n), min(first + self.b, n))
+
+    def climb(self, ids: np.ndarray) -> np.ndarray:
+        """As `Tree.climb`, by (ids - 1) // b."""
+        return np.where(ids > 0, (ids - 1) // self.b, -1)
+
+    def _fold_level(self, out: np.ndarray, k: int, op) -> None:
+        """As `Tree._fold_level`, with no gather and no temporary: level k
+        viewed as one row of b children per level-(k - 1) parent, each row
+        folded with its parent broadcast."""
+        kids = out[self.level_slice(k)].reshape(-1, self.b)
+        op(kids, out[self.level_slice(k - 1), None], out=kids)
+
+    @cached_property
+    def _lineage(self) -> np.ndarray:
+        """All True, as a read-only broadcast of one flag."""
+        return np.broadcast_to(np.True_, (self.n_vertices,))
 
     def level_parents(self, k: int) -> tuple[np.ndarray, int]:
         """As `Tree.level_parents`: the b children of a parent are adjacent."""

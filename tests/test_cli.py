@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from treelab import branching, cli, rng, rwre, trees
+from treelab import branching, cli, fpp, rng, rwre, trees
 from treelab.branching import branching_number
 from treelab.cli import main
 from treelab.networks import (effective_conductance, homogeneous_conductance,
@@ -650,19 +650,23 @@ class TestBuildOnce:
             calls.append((spec.kind, depth))
             return real(spec, depth, **kwargs)
 
-        for module in (cli, branching, rwre, trees):
+        for module in (cli, branching, fpp, rwre, trees):
             monkeypatch.setattr(module, "build_truncation", spy)
         return calls
 
-    def test_homogeneous_conductance_builds_nothing(self, files, builds, capsys,
-                                                    monkeypatch, tmp_path):
-        # the b-ary layout answers every read of conductance by arithmetic,
-        # on the double and the log path alike: no vertex array is built
+    @pytest.fixture
+    def no_vertex_arrays(self, monkeypatch):
+        """A read of `parent` or `extendable` on a `HomogeneousLevels` fails."""
         def unread(tree):
-            raise AssertionError("conductance read a vertex array")
+            raise AssertionError("read a vertex array")
 
         for name in ("parent", "extendable"):
             monkeypatch.setattr(trees.HomogeneousLevels, name, property(unread))
+
+    def test_homogeneous_conductance_builds_nothing(self, files, builds, capsys,
+                                                    no_vertex_arrays, tmp_path):
+        # the b-ary layout answers every read of conductance by arithmetic,
+        # on the double and the log path alike: no vertex array is built
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps(WIDE_LAW_DOC))
         for law in (files["a_law"], str(wide)):
@@ -671,6 +675,21 @@ class TestBuildOnce:
                              "--depth", "8", "--seeds", "3",
                              "--workers", workers]) == 0
         assert builds == [("homogeneous", 8)] * 4
+
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--dist", "a_law", "--escape-depth", "4", "--trials", "50"],
+        ["walk", "--dist", "a_law", "--steps", "300"],
+        ["fpp", "--dist", "x_law", "--ygrid", "0.3:1.0:0.1"],
+    ], ids=["walk-escape", "walk-steps", "fpp"])
+    def test_homogeneous_walk_and_fpp_build_nothing(self, files, builds, capsys,
+                                                    no_vertex_arrays, argv):
+        # kernel rows, the exit test, the sums S and the lineage mask are
+        # all arithmetic on the b-ary layout
+        argv = [files.get(a, a) for a in argv]
+        for workers in ("1", "2"):
+            assert main(argv + ["--tree", files["hom2"], "--depth", "8",
+                                "--seeds", "3", "--workers", workers]) == 0
+        assert builds == [("homogeneous", 8)] * 2
 
     def test_family_conductance_builds_once(self, files, builds, tmp_path, capsys):
         spec = tmp_path / "gw.json"

@@ -16,7 +16,7 @@ from treelab.trees import (HomogeneousLevels, Tree, TreeSpec, build_truncation,
                            contract_k, extendable_lineage, level_sizes, load_parent_list,
                            truncate, validate_tree)
 
-from conftest import assorted_trees, random_explicit_spec, table_depth
+from conftest import assert_bits_equal, assorted_trees, random_explicit_spec, table_depth
 import oracles
 from oracles import is_cutset, level_cutset
 
@@ -433,6 +433,91 @@ class TestLevelVocabulary:
         assert t.extendable.dtype == bool and t.extendable.shape == (1,)
         # the root extends iff the spec's tree goes on below it
         assert t.extendable[0] == truncate(build_truncation(spec, 1), 0).extendable[0]
+
+
+class TestHomogeneousOverrides:
+    """Each arithmetic read of `HomogeneousLevels` has the bits of the base
+    `Tree` method run on the same truncation's arrays, and builds none of
+    them."""
+
+    @pytest.fixture(params=[(b, d) for b in (1, 2, 3, 4) for d in range(9)],
+                    ids=lambda bd: f"b{bd[0]}-depth{bd[1]}")
+    def pair(self, request):
+        b, d = request.param
+        arrays = HomogeneousLevels(b, d)
+        plain = Tree(parent=arrays.parent, extendable=arrays.extendable,
+                     level_offsets=arrays.level_offsets)
+        levels = HomogeneousLevels(b, d)
+        yield levels, plain
+        assert "parent" not in vars(levels) and "extendable" not in vars(levels)
+
+    def test_children_slice(self, pair):
+        levels, plain = pair
+        for v in range(levels.n_vertices):  # the frontier included
+            assert levels.children_slice(v) == plain.children_slice(v)
+
+    def test_climb(self, pair):
+        levels, plain = pair
+        front = levels.level_slice(levels.truncation_depth)
+        ids = np.concatenate(([-1, 0, -1, front.stop - 1, front.start],
+                              np.arange(levels.n_vertices)))
+        for _ in range(2):  # the second climb starts from parents and -1s
+            got, want = levels.climb(ids), plain.climb(ids)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            ids = got
+
+    def test_add_sweep(self, pair, seeded_rng):
+        levels, plain = pair
+        pool = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 1e308,
+                -1e308, 5e-324, 1.0, 2.0**-53]
+        vals = np.array([seeded_rng.choice(pool) if seeded_rng.random() < 0.5
+                         else seeded_rng.uniform(-3, 3)
+                         for _ in range(levels.n_vertices)])
+        before = vals.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = plain.sweep_down(vals)
+            assert_bits_equal(vals, before)
+            got = levels.sweep_down(vals)
+            assert_bits_equal(got, want)
+            assert_bits_equal(vals, before)
+            out = np.full_like(vals, 7.0)
+            assert levels.sweep_down(vals, out=out) is out
+            assert_bits_equal(out, want)
+            assert_bits_equal(vals, before)
+            assert levels.sweep_down(vals, out=vals) is vals
+            assert_bits_equal(vals, want)
+
+    def test_and_sweep(self, pair, seeded_rng):
+        levels, plain = pair
+        flags = np.array([seeded_rng.random() < 0.8 for _ in range(levels.n_vertices)])
+        want = plain.sweep_down(flags, np.logical_and)
+        got = levels.sweep_down(flags, np.logical_and)
+        assert got.dtype == want.dtype == bool and got is not flags
+        assert got.tolist() == want.tolist()
+        out = np.zeros_like(flags)
+        assert levels.sweep_down(flags, np.logical_and, out=out) is out
+        assert out.tolist() == want.tolist()
+        assert levels.sweep_down(flags, np.logical_and, out=flags) is flags
+        assert flags.tolist() == want.tolist()
+
+    def test_sweep_rejects_a_bad_out(self, pair):
+        levels, plain = pair
+        vals = np.ones(levels.n_vertices)
+        for bad in (np.ones(levels.n_vertices, dtype=np.float32),
+                    np.ones(levels.n_vertices + 1)):
+            for tree in (levels, plain):
+                with pytest.raises(ValueError, match="shape and dtype"):
+                    tree.sweep_down(vals, out=bad)
+
+    def test_lineage(self, pair):
+        levels, plain = pair
+        lineage = extendable_lineage(levels)
+        assert lineage.dtype == bool and lineage.shape == (levels.n_vertices,)
+        assert lineage.tolist() == extendable_lineage(plain).tolist()
+        assert extendable_lineage(levels) is lineage
+        assert not lineage.flags.writeable
+        assert lineage.strides == (0,)  # one flag, no vertex array
 
 
 class TestDepthFromOffsets:
