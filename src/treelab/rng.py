@@ -8,10 +8,11 @@ covers (the non-root ids, one level, one child group) is such a range.
 Samples are therefore independent of traversal order, chunking, and worker
 count, and any single replicate can be regenerated in isolation.  The mixer
 is the splitmix64 finalizer, which has full avalanche and is the standard
-choice for stateless keyed streams.  Sequential draws (walk steps, the
-trials of a homogeneous percolation chain) instead use `generator`, a PCG64
-stream per walk or trial seeded from `derive`, so they too are reproducible
-and independent of worker count.
+choice for stateless keyed streams.  Walk steps are keyed too, by (seed,
+walk, step) in blocks of steps (`rwre._walk_streams`).  Only the trials of a
+homogeneous percolation chain use `generator`, a PCG64 stream per trial
+seeded from `derive`, so they too are reproducible and independent of
+worker count.
 
 `mantissa_chunks` hashes a range a fixed-size chunk at a time with in-place
 operations on reused scratch arrays, so no temporary grows with the number of

@@ -13,6 +13,7 @@ so rather than guessing.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +33,11 @@ _TAG_GW_RATIO = 0x6C02
 _TAG_GW_PICK = 0x6C03
 
 # Steps one escape walk may take before it counts as unresolved; the longest
-# escape walk in the tests and the benchmark takes under 400.
+# escape walk in the tests takes 353 steps, and in the benchmark 62.
 _STEP_CAP = 1_000_000
+
+# Steps per keyed block of a walk's uniforms (see `_walk_streams`).
+_BLOCK = 64
 
 REGIMES = ("Transient", "Recurrent", "PositiveRecurrent", "Boundary", "Inconclusive")
 
@@ -281,7 +285,8 @@ def classify(law: Distribution, spec: TreeSpec, depth: int,
 # Walks
 # ---------------------------------------------------------------------------
 
-def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+def transition_probs(env: Environment, vertex: int,
+                     log_a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor ids and transition probabilities at a vertex.
 
     Probabilities are proportional to the conductances of the incident edges,
@@ -290,13 +295,20 @@ def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndar
     [A_c, ...] / sum A_c).  It is built from the children's log A alone,
     shifted by its largest entry before exp, so no weight leaves double
     range; an environment that has not been read draws only those ids.
+    `log_a`, log A of the environment by id over a prefix of the ids that
+    covers the children, is read in place of the environment when given.
     """
     tree = env.tree
     if not 0 <= vertex < tree.n_vertices:
         raise ValidationError("vertex out of range")
     kids = tree.children_slice(vertex)
     kid_ids = np.arange(kids.start, kids.stop, dtype=np.int64)
-    log_w = env.slice_log_a(kids)
+    if log_a is None:
+        log_w = env.slice_log_a(kids)
+    elif kids.stop <= len(log_a):
+        log_w = log_a[kids]
+    else:
+        raise ValidationError("log_a does not cover the children of the vertex")
     if vertex == 0:
         ids = kid_ids
         if len(ids) == 0:
@@ -309,16 +321,18 @@ def transition_probs(env: Environment, vertex: int) -> tuple[np.ndarray, np.ndar
 
 
 class _KernelCache:
-    """Lazily built per-vertex jump tables as plain Python lists (fast steps)."""
+    """Lazily built per-vertex jump tables as plain Python lists (fast steps),
+    from `log_a` when given (see `transition_probs`)."""
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, log_a: np.ndarray | None = None):
         self.env = env
+        self.log_a = log_a
         self.rows: dict[int, tuple[list[int], list[float]]] = {}
 
     def row(self, v: int) -> tuple[list[int], list[float]]:
         hit = self.rows.get(v)
         if hit is None:
-            ids, probs = transition_probs(self.env, v)
+            ids, probs = transition_probs(self.env, v, self.log_a)
             hit = (ids.tolist(), np.cumsum(probs).tolist())
             self.rows[v] = hit
         return hit
@@ -329,6 +343,33 @@ def _step(row: tuple[list[int], list[float]], u: float) -> int:
     when rounding leaves the total at or under u."""
     ids, cum = row
     return ids[min(bisect.bisect_right(cum, u), len(ids) - 1)]
+
+
+def _walk_streams(key: int, walks: int):
+    """The step uniforms of walks 0 .. walks - 1, one iterator per walk.
+
+    The uniform of step s of walk t is keyed by (key, t, s): it is
+    `rng.uniforms` under the subkey derive(key, s // _BLOCK) at counter
+    t * _BLOCK + s % _BLOCK.  Every walk's first block comes from one
+    draw per CHUNK // _BLOCK walks; a walk that outlives a block draws its
+    next block alone.  A walk's path depends on neither the number of
+    walks nor the worker count.
+    """
+    per_draw = rng.CHUNK // _BLOCK
+    first_key = rng.derive(key, 0)
+    for lo in range(0, walks, per_draw):
+        hi = min(lo + per_draw, walks)
+        firsts = rng.uniforms(first_key, range(lo * _BLOCK, hi * _BLOCK)).tolist()
+        for t in range(lo, hi):
+            yield _walk_stream(key, t, firsts[(t - lo) * _BLOCK:(t - lo + 1) * _BLOCK])
+
+
+def _walk_stream(key: int, t: int, first: list[float]):
+    """Walk t's uniforms: its first block, then block j drawn on reaching it."""
+    yield from first
+    counters = range(t * _BLOCK, (t + 1) * _BLOCK)
+    for j in itertools.count(1):
+        yield from rng.uniforms(rng.derive(key, j), counters).tolist()
 
 
 @dataclass
@@ -348,13 +389,15 @@ def simulate_walk(env: Environment, steps: int, seed: int,
     extendable frontier vertex, where the window's kernel is no longer
     faithful (the exit is recorded and the run stops).
 
-    Deterministic for fixed (env, seed).
+    Step s takes the uniform of walk 0, step s of `_walk_streams` under the
+    key derived from (env.seed, seed), so the walk is deterministic for
+    fixed (env, seed).
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     tree = env.tree
     kernel = _KernelCache(env)
-    gen = rng.generator(env.seed, _TAG_WALK, seed)
+    uniforms = next(_walk_streams(rng.derive(env.seed, _TAG_WALK, seed), 1))
     transitions: dict[int, dict[int, int]] | None = {} if record_transitions else None
     # extendable vertices lie on the frontier level, which starts at `front`
     front, mask = int(tree.level_offsets[tree.truncation_depth]), tree.frontier_mask()
@@ -371,7 +414,7 @@ def simulate_walk(env: Environment, steps: int, seed: int,
         if extendable(v):
             exited = True
             break
-        nxt = _step(kernel.row(v), gen.random())
+        nxt = _step(kernel.row(v), next(uniforms))
         if transitions is not None:
             transitions.setdefault(v, {})
             transitions[v][nxt] = transitions[v].get(nxt, 0) + 1
@@ -412,8 +455,11 @@ def escape_probability(env: Environment, depth: int, trials: int,
                        seed: int) -> EscapeEstimate:
     """Monte Carlo estimate of P(reach `depth` before returning to the root).
 
-    Trial i uses the derived seed (seed, i); the exact network value rides
-    along for cross-checking.
+    Trial t walks on the uniforms of walk t of `_walk_streams` under the key
+    derived from (env.seed, seed), so its path does not depend on `trials`.
+    The walks stop at `depth`, so their rows read log A of levels 1..depth
+    alone, drawn once for all rows (the environment stays unread).  The
+    exact network value rides along for cross-checking.
     A walk still unresolved after `_STEP_CAP` steps raises ResourceCapError.
     """
     tree = env.tree
@@ -421,14 +467,15 @@ def escape_probability(env: Environment, depth: int, trials: int,
         raise ValidationError("depth must be in 1..truncation_depth")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    kernel = _KernelCache(env)
+    above = slice(1, int(tree.level_offsets[depth + 1]))
+    kernel = _KernelCache(env, np.concatenate(([0.0], env.slice_log_a(above))))
     first = int(tree.level_offsets[depth])
     successes = 0
-    for t in range(trials):
-        gen = rng.generator(env.seed, _TAG_ESCAPE, seed, t)
+    streams = _walk_streams(rng.derive(env.seed, _TAG_ESCAPE, seed), trials)
+    for t, uniforms in enumerate(streams):
         v = 0
-        for _ in range(_STEP_CAP):
-            v = _step(kernel.row(v), gen.random())
+        for u in itertools.islice(uniforms, _STEP_CAP):
+            v = _step(kernel.row(v), u)
             if v >= first:
                 successes += 1
                 break
@@ -438,6 +485,7 @@ def escape_probability(env: Environment, depth: int, trials: int,
             raise ResourceCapError(
                 f"escape walk {t} took {_STEP_CAP} steps without reaching depth "
                 f"{depth} or returning to the root")
+    del kernel  # the rows and their draw are not needed by the exact value
     p_hat = successes / trials
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / trials) / trials)
     return EscapeEstimate(probability=p_hat, stderr=stderr, successes=successes,

@@ -617,12 +617,15 @@ def truncate(tree: Tree, depth: int) -> Tree:
     """Restrict a truncation to a shallower depth (a BFS prefix of the arrays).
 
     Frontier vertices of the result are extendable iff they have children in
-    the source tree (or were already extendable there).
+    the source tree (or were already extendable there).  A `HomogeneousLevels`
+    gives the `HomogeneousLevels` of the shallower depth, with no vertex array.
     """
     if depth < 0 or depth > tree.truncation_depth:
         raise ValidationError("depth must be in 0..truncation_depth")
     if depth == tree.truncation_depth:
         return tree
+    if isinstance(tree, HomogeneousLevels):
+        return HomogeneousLevels(tree.b, depth)
     cut = int(tree.level_offsets[depth + 1])
     ext = np.zeros(cut, dtype=bool)
     sl = tree.level_slice(depth)

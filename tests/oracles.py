@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's optimizers: rates come from
 dense grids (step 1e-4 on the optimization variable), tails from binomial
 arithmetic, cut minima from exhaustive cutset enumeration or a recursion in
 exact rationals, conductance from series-parallel reduction and kernel rows
-from conductance ratios, both in exact rationals, and branching intervals
-from a bisection on the cutset-decay test.  Oracle values are
-computed first and frozen into the tests that exercise the real code.
+from conductance ratios, both in exact rationals, walks from one hash per
+step, and branching intervals from a bisection on the cutset-decay test.
+Oracle values are computed first and frozen into the tests that exercise the
+real code.
 """
 
 from __future__ import annotations
@@ -574,6 +575,45 @@ def step_by_scan(row, u: float) -> int:
         if u < edge:
             return ids[i]
     return ids[-1]
+
+
+def keyed_walk(row, key: int, trial: int, block: int = 64):
+    """The vertices visited by walk `trial` from the root, one per step: step
+    s hashes its own uniform alone, at counter trial * block + s % block
+    under the subkey derive(key, s // block), and moves by `step_by_scan` on
+    row(v), a (ids, cumulative probabilities) pair."""
+    v, s = 0, 0
+    while True:
+        u = splitmix_uniforms(derive_numpy(key, s // block),
+                              [trial * block + s % block])[0]
+        v = step_by_scan(row(v), float(u))
+        yield v
+        s += 1
+
+
+def escape_outcomes_by_single_draws(row, key: int, first: int, trials: int):
+    """Per walk t < trials, whether it reaches an id >= first before it
+    returns to the root, and the most steps any walk took."""
+    outcomes, longest = [], 0
+    for t in range(trials):
+        for steps, v in enumerate(keyed_walk(row, key, t), 1):
+            if v >= first or v == 0:
+                outcomes.append(v >= first)
+                longest = max(longest, steps)
+                break
+    return outcomes, longest
+
+
+def walk_transitions_by_single_draws(row, key: int, steps: int) -> dict:
+    """Transition counts {v: {w: count}} of walk 0 over `steps` steps on a
+    tree whose walk never stops early (no extendable frontier)."""
+    counts: dict = {}
+    v = 0
+    for _, w in zip(range(steps), keyed_walk(row, key, 0)):
+        counts.setdefault(v, {})
+        counts[v][w] = counts[v].get(w, 0) + 1
+        v = w
+    return counts
 
 
 def _unxorshift(y: np.ndarray, s: int) -> np.ndarray:

@@ -691,6 +691,18 @@ class TestBuildOnce:
                                 "--seeds", "3", "--workers", workers]) == 0
         assert builds == [("homogeneous", 8)] * 2
 
+    @pytest.mark.parametrize("argv,built", [
+        (["tree", "--branching"], [("homogeneous", 12)]),
+        (["classify", "--dist", "a_law"], []),
+    ], ids=["tree-branching", "classify"])
+    def test_homogeneous_branching_and_classify_build_nothing(
+            self, files, builds, capsys, no_vertex_arrays, argv, built):
+        # the half-depth truncation of the branching estimate is the
+        # shallower b-ary layout; classify counts levels in closed form
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv + ["--tree", files["hom2"], "--depth", "12"]) == 0
+        assert builds == built
+
     def test_family_conductance_builds_once(self, files, builds, tmp_path, capsys):
         spec = tmp_path / "gw.json"
         spec.write_text(json.dumps(GW_DOC))

@@ -1,5 +1,6 @@
 """The keyed hash stream: determinism, splitting, and basic uniformity."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +88,13 @@ def test_np_random_only_in_rng():
         if path.name != "rng.py":
             text = path.read_text()
             assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
+def test_generator_only_in_percolation():
+    """Walks draw keyed uniforms: the sequential PCG64 stream of
+    `rng.generator` is named only by its definition and by the trials of
+    `percolate --trials`, so no walk drifts back to a stream per trial."""
+    named = re.compile(r"\bgenerator\s*\(|\.generator\b|import[^\n]*\bgenerator\b")
+    users = {path.name for path in Path(rng.__file__).parent.glob("*.py")
+             if named.search(path.read_text())}
+    assert users == {"rng.py", "percolation.py"}

@@ -418,6 +418,91 @@ class TestEscape:
         # depth 1 resolves on the first step, so the same cap suffices
         assert escape_probability(env, 1, 10, 0).probability == 1.0
 
+    def test_rows_share_one_draw(self, monkeypatch):
+        # however many rows the walks build, they add one sampling call to
+        # those of the exact value
+        calls = []
+        real = Distribution.sample_values
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[1])
+            return real(self, *args, **kwargs)
+
+        rows = []
+        real_row = rwre.transition_probs
+
+        def row_spy(*args):
+            rows.append(args[1])
+            return real_row(*args)
+
+        monkeypatch.setattr(Distribution, "sample_values", spy)
+        monkeypatch.setattr(rwre, "transition_probs", row_spy)
+        tree = build_truncation(HOM2, 20)
+        law = Distribution.uniform([0.5, 0.75])
+        for seed in range(3):
+            del calls[:], rows[:]
+            escape_probability_exact(sample_environment(tree, law, seed), 6)
+            exact_calls = len(calls)
+            del calls[:]
+            escape_probability(sample_environment(tree, law, seed), 6, 200, seed)
+            assert len(calls) == exact_calls + 1
+            assert range(1, 127) in calls
+            assert len(rows) > 10
+
+
+def _memo_rows(env):
+    """row(v): the kernel row of v as (ids, cumulative probabilities) lists."""
+    memo = {}
+
+    def row(v):
+        if v not in memo:
+            ids, probs = transition_probs(env, v)
+            memo[v] = (ids.tolist(), np.cumsum(probs).tolist())
+        return memo[v]
+    return row
+
+
+_GW3 = TreeSpec.galton_watson(Distribution.uniform([1, 2, 3]), 4,
+                              condition_nonextinct=True)
+
+
+class TestKeyedSteps:
+    """Walks against an oracle that hashes each step's uniform alone and
+    steps by a linear scan: the same paths, whatever the number of trials."""
+
+    @pytest.mark.parametrize("spec,depth,escape,law", [
+        (HOM2, 8, 5, Distribution.uniform([0.5, 2.0])),
+        (_GW3, 8, 6, Distribution.uniform([0.5, 0.75])),
+        (SPINE, 6, 4, Distribution.uniform([0.5, 2.0])),
+        (TreeSpec.explicit(list(range(9))), 9, 9, Distribution.point(1.0)),
+    ], ids=["hom2", "gw", "spine", "path10"])
+    def test_escape_counts_match_single_draws(self, spec, depth, escape, law):
+        tree = build_truncation(spec, depth)
+        env = sample_environment(tree, law, 5)
+        seed = 17
+        key = oracles.derive_numpy(env.seed, rwre._TAG_ESCAPE, seed)
+        first = int(tree.level_offsets[escape])
+        outcomes, longest = oracles.escape_outcomes_by_single_draws(
+            _memo_rows(env), key, first, 200)
+        for k in (1, 7, 65, 200):
+            est = escape_probability(env, escape, k, seed)
+            assert est.successes == sum(outcomes[:k]), k
+        if tree.n_vertices == 10:
+            assert longest > rwre._BLOCK  # walks that draw a second block
+
+    @pytest.mark.parametrize("law", [Distribution.point(1.0),
+                                     Distribution.uniform([0.5, 2.0])])
+    def test_walk_transitions_match_single_draws(self, law):
+        # a finite path: the walk never stops, so it draws five blocks
+        tree = build_truncation(TreeSpec.explicit(list(range(11)), extendable=[]), 11)
+        env = sample_environment(tree, law, 2)
+        for seed in (0, 9):
+            w = simulate_walk(env, 300, seed, record_transitions=True)
+            key = oracles.derive_numpy(env.seed, rwre._TAG_WALK, seed)
+            assert w.transition_counts == oracles.walk_transitions_by_single_draws(
+                _memo_rows(env), key, 300)
+            assert w.steps_taken == 300
+
 
 # ---------------------------------------------------------------------------
 # flow fixed point

@@ -84,6 +84,30 @@ class TestBuild:
         assert np.array_equal(truncate(deep, 3).extendable,
                               build_truncation(HOM2, 3).extendable)
 
+    def test_truncate_homogeneous_reads_no_vertex_array(self, monkeypatch):
+        # the prefix of the b-ary layout is the shallower b-ary layout: the
+        # same arrays as truncating a plain Tree of the deep one
+        deep = build_truncation(TreeSpec.homogeneous(3), 5)
+        plain = Tree(parent=deep.parent, extendable=deep.extendable,
+                     level_offsets=deep.level_offsets)
+
+        def unread(tree):
+            raise AssertionError("read a vertex array")
+
+        for name in ("parent", "extendable"):
+            monkeypatch.setattr(HomogeneousLevels, name, property(unread))
+        cuts = [truncate(deep, d) for d in range(6)]
+        for depth in (-1, 6):
+            with pytest.raises(ValidationError, match="0..truncation_depth"):
+                truncate(deep, depth)
+        monkeypatch.undo()
+        for d, cut in enumerate(cuts):
+            assert isinstance(cut, HomogeneousLevels)
+            assert (cut.b, cut.truncation_depth) == (3, d)
+            ref = truncate(plain, d)
+            for name in ("parent", "extendable", "level_offsets"):
+                assert np.array_equal(getattr(cut, name), getattr(ref, name))
+
     def test_vertex_budget(self, monkeypatch):
         with pytest.raises(ResourceCapError):
             build_truncation(HOM2, 30)
