@@ -38,15 +38,17 @@ INPUTS = GOLDEN / "inputs"
 CASES_DIR = GOLDEN / "cases"
 MANIFEST = GOLDEN / "manifest.json"
 
-# (name, spec file, depth): depths divisible by 2 for `--proof --k 2`
+# (name, spec file, depth): depths divisible by 2 for `--contract 2` and
+# `--proof --k 2`
 TREES = (("hom1", "hom1.json", 8), ("hom2", "hom2.json", 8),
          ("hom3", "hom3.json", 6), ("spine", "spine.json", 6),
          ("gw", "gw.json", 8), ("table", "table.txt", 6))
 
-# the 11 subcommand forms: (name, the subcommand and its flags; --tree and
+# the 12 subcommand forms: (name, the subcommand and its flags; --tree and
 # --depth go after the subcommand)
 FORMS = (
     ("tree-branching", ["tree", "--branching", "--cutset-lambda", "1.5"]),
+    ("tree-contract", ["tree", "--contract", "2", "--cutset-lambda", "1.5"]),
     ("classify", ["classify", "--dist", "{inputs}/a2.json"]),
     ("conductance-a2", ["conductance", "--dist", "{inputs}/a2.json", "--seeds", "3"]),
     ("conductance-wide", ["conductance", "--dist", "{inputs}/wide.json", "--seeds", "3"]),
