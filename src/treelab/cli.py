@@ -138,13 +138,13 @@ def _cmd_tree(args) -> int:
     full = tree = build_truncation(spec, args.depth)
     if args.contract is not None:
         tree = contract_k(tree, args.contract)
-    sizes, mask = tree.level_sizes(), tree.frontier_mask()
+    sizes, frontier = tree.level_sizes(), tree.frontier
     rows = [{"level": k, "count": int(c)} for k, c in enumerate(sizes)]
     summary = {
         "vertices": tree.n_vertices,
         "growth_rate": growth_rate(tree),
         # extendable vertices lie on the frontier level; None: all of it
-        "extendable_frontier": int(sizes[-1] if mask is None else mask.sum()),
+        "extendable_frontier": int(sizes[-1] if frontier is None else frontier.sum()),
     }
     if args.branching:
         est = estimate_branching(full, args.tol)

@@ -175,7 +175,7 @@ def effective_conductance(tree: Tree, env: Environment,
         depth = tree.truncation_depth
         if depth < 1:
             raise ValidationError("conductance needs truncation depth >= 1")
-        grounded = tree.frontier_mask()  # None: the whole frontier level
+        grounded = tree.frontier  # None: the whole frontier level
     else:
         if not 1 <= ground_depth <= tree.truncation_depth:
             raise ValidationError("ground_depth must be in 1..truncation_depth")

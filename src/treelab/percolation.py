@@ -160,15 +160,15 @@ class ProofPercolation:
 def _segment_folds(tree: Tree, ctree: Tree, per_vertex: np.ndarray, k: int,
                    extreme) -> tuple[np.ndarray, np.ndarray]:
     """Each contracted edge's k-step segment total of a per-edge value and
-    its `extreme` (np.minimum or np.maximum), in one climb from the bottom.
-    Clip mode reads index 0 for -1 and parent[0] == -1, so a climb past the
-    root stays at -1 and reads the root's 0."""
+    its `extreme` (np.minimum or np.maximum), in one climb from the bottom
+    by `tree.climb`, so a `HomogeneousLevels` source builds no `parent`.
+    A climb past the root stays at -1, where clip mode reads the root's 0."""
     cur = ctree.source_vertices
     total = per_vertex[cur]
     ext = total.copy()
     step = np.empty_like(total)
     for _ in range(k - 1):
-        cur = np.take(tree.parent, cur, mode="clip")
+        cur = tree.climb(cur)
         np.take(per_vertex, cur, out=step, mode="clip")
         total += step
         extreme(ext, step, out=ext)

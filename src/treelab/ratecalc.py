@@ -490,7 +490,9 @@ def gamma(law: Distribution, a: float) -> float:
     the essential supremum the infimum is the log-mass there, attained in the
     limit theta -> inf.  In between it is L(theta) for the log moment
     generating function L of (X - a) / w, w the support's width, at the root
-    theta > 0 of L'(theta) = 0.
+    theta > 0 of L'(theta) = 0.  Where theta * max|s| <= 1 for the scaled
+    support s, L is log1p(sum w expm1(theta s)), which keeps the digits of
+    a value near 0 that the max-shifted sum rounds to about 1e-16.
     """
     law.require_x_type()
     if a <= law.mean:
@@ -505,7 +507,10 @@ def gamma(law: Distribution, a: float) -> float:
     def slope(theta: float) -> tuple[float, float]:
         return _tilted(s, log_w, theta)[1:]
 
-    return min(0.0, _tilted(s, log_w, _root(slope, 0.0))[0])
+    theta = _root(slope, 0.0)
+    if theta * np.abs(s).max() <= 1.0:
+        return min(0.0, math.log1p(float(law._sorted[1] @ np.expm1(theta * s))))
+    return min(0.0, _tilted(s, log_w, theta)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ def simulate_walk(env: Environment, steps: int, seed: int,
     uniforms = next(_walk_streams(rng.derive(env.seed, _TAG_WALK, seed), 1))
     transitions: dict[int, dict[int, int]] | None = {} if record_transitions else None
     # extendable vertices lie on the frontier level, which starts at `front`
-    front, mask = int(tree.level_offsets[tree.truncation_depth]), tree.frontier_mask()
+    front, mask = int(tree.level_offsets[tree.truncation_depth]), tree.frontier
 
     def extendable(v: int) -> bool:
         return v >= front and (mask is None or bool(mask[v - front]))

@@ -4,17 +4,17 @@ A `Tree` is a depth-`n` window onto an infinite tree described by a
 `TreeSpec`.  Vertices are numbered 0..V-1 in breadth-first order (root 0),
 which makes each level a contiguous id range, keeps children of one parent
 contiguous, and makes truncations at different depths prefix-consistent.
-A tree stores two arrays per vertex, `parent` and `extendable`, and one
-offset per level: level k is the id range [level_offsets[k],
-level_offsets[k+1]), so a vertex's depth is found from its id; a
-`HomogeneousLevels` (the b-ary truncation) builds the two arrays only when
-they are read.  An explicit parent table is renumbered in the order of one
-BFS pass that visits children in id order: by depth, then by the parent's
-new id, then by the old id.
-Frontier vertices carry an `extendable` flag: True when the generator would
-give them successors beyond the window.  Dead-end leaves (vertices the
-generator stops at for good) stay non-extendable, so cut and flow semantics
-can tell an infinity proxy from a genuine leaf.
+A tree stores one array per vertex, `parent`, one offset per level (level
+k is the id range [level_offsets[k], level_offsets[k+1]), so a vertex's
+depth is found from its id) and one flag per deepest-level vertex,
+`frontier`; a `HomogeneousLevels` (the b-ary truncation) builds `parent`
+only when it is read.  An explicit parent table is renumbered in the order
+of one BFS pass that visits children in id order: by depth, then by the
+parent's new id, then by the old id.
+Only deepest-level vertices can be extendable: True when the generator
+would give them successors beyond the window.  Dead-end leaves (vertices
+the generator stops at for good) stay non-extendable, so cut and flow
+semantics can tell an infinity proxy from a genuine leaf.
 """
 
 from __future__ import annotations
@@ -231,10 +231,13 @@ def load_parent_list(path) -> TreeSpec:
 
 @dataclass
 class Tree:
-    """A finite truncation in BFS layout; treat as immutable once built."""
+    """A finite truncation in BFS layout; treat as immutable once built.
+
+    `frontier` holds the extendable flags of the deepest level, in id order,
+    or is None when every vertex there is extendable."""
 
     parent: np.ndarray          # int64; parent[0] == -1, then nondecreasing
-    extendable: np.ndarray      # bool; may be True only at the truncation depth
+    frontier: np.ndarray | None  # bool, one per deepest-level vertex
     level_offsets: np.ndarray   # int64, truncation_depth + 2 entries
     source_vertices: np.ndarray | None = None  # original ids after contraction
 
@@ -248,12 +251,16 @@ class Tree:
 
     @property
     def has_extendable_frontier(self) -> bool:
-        return bool(self.extendable.any())
+        return self.frontier is None or bool(self.frontier.any())
 
-    def frontier_mask(self) -> np.ndarray | None:
-        """The extendable flags of the deepest level, or None on a layout
-        whose frontier vertices are all extendable."""
-        return self.extendable[self.level_slice(self.truncation_depth)]
+    @property
+    def extendable(self) -> np.ndarray:
+        """Per vertex, whether it is extendable: `frontier` on the deepest
+        level, False above it.  A new array on each read."""
+        ext = np.zeros(self.n_vertices, dtype=bool)
+        ext[self.level_slice(self.truncation_depth)] = (
+            True if self.frontier is None else self.frontier)
+        return ext
 
     def level_slice(self, k: int) -> slice:
         off = self.level_offsets
@@ -324,7 +331,7 @@ class Tree:
     @cached_property
     def _lineage(self) -> np.ndarray:
         """The `extendable_lineage` mask, by one leaf-to-root sweep."""
-        alive = self.extendable.copy()
+        alive = self.extendable
         for k in range(self.truncation_depth, 0, -1):
             counts = self.child_sums(k, alive[self.level_slice(k)])
             alive[self.level_slice(k - 1)] |= counts > 0
@@ -332,10 +339,9 @@ class Tree:
         return alive
 
     def _freeze(self) -> "Tree":
-        for arr in (self.parent, self.extendable, self.level_offsets):
-            arr.setflags(write=False)
-        if self.source_vertices is not None:
-            self.source_vertices.setflags(write=False)
+        for arr in (self.parent, self.frontier, self.level_offsets, self.source_vertices):
+            if arr is not None:
+                arr.setflags(write=False)
         return self
 
 
@@ -348,11 +354,14 @@ class HomogeneousLevels(Tree):
     """The depth-`truncation_depth` b-ary truncation, its levels by
     arithmetic on the heap layout: v's children are b*v + 1 .. b*v + b and
     its parent is (v - 1) // b.  `n_vertices` and `level_offsets` come from
-    the closed form; `children_slice`, `climb`, `level_parents`,
-    `child_sums`, the `sweep_down` folds and the lineage mask (all True:
-    every frontier vertex is extendable) need no vertex array.  Only a
-    direct read of `parent` or `extendable` builds one, frozen.  A count of
-    2**60 or more vertices is a `ResourceCapError` at once."""
+    the closed form, and `frontier` is None: every deepest-level vertex is
+    extendable.  `children_slice`, `climb`, `level_parents`, `child_sums`,
+    the `sweep_down` folds and the lineage mask (all True) need no vertex
+    array.  Only a direct read of `parent` builds one, frozen (a read of
+    `extendable` builds a new one each time).  A count of 2**60 or more
+    vertices is a `ResourceCapError` at once."""
+
+    frontier = None
 
     def __init__(self, b: int, truncation_depth: int):
         self.b, self._depth = b, truncation_depth
@@ -378,20 +387,6 @@ class HomogeneousLevels(Tree):
         parent //= self.b
         parent.setflags(write=False)
         return parent
-
-    @cached_property
-    def extendable(self) -> np.ndarray:
-        ext = np.zeros(self.n_vertices, dtype=bool)
-        ext[self.level_slice(self._depth)] = True
-        ext.setflags(write=False)
-        return ext
-
-    @property
-    def has_extendable_frontier(self) -> bool:
-        return True
-
-    def frontier_mask(self) -> None:
-        return None
 
     def children_slice(self, v: int) -> slice:
         """As `Tree.children_slice`: empty (at n_vertices) on the frontier."""
@@ -460,8 +455,6 @@ def validate_tree(tree: Tree) -> None:
     # with each parent a level up, this is the grouping within every level
     if np.any(np.diff(tree.parent[1:]) < 0):
         raise ValidationError("children of a level must be grouped by parent")
-    if tree.extendable[:off[-2]].any():
-        raise ValidationError("only frontier vertices may be extendable")
 
 
 def _check_cap(n: int, cap: int | None = None) -> None:
@@ -479,12 +472,12 @@ def _check_cap(n: int, cap: int | None = None) -> None:
 
 
 def _assemble(parents_per_level: list[np.ndarray], depth_n: int,
-              extendable: np.ndarray) -> Tree:
+              frontier: np.ndarray) -> Tree:
     """The tree whose levels 1..depth_n have these int64 parent ids."""
     sizes = [0, 1] + [len(p) for p in parents_per_level]
     sizes += [0] * (depth_n + 2 - len(sizes))  # the levels after an extinction
     parent = np.concatenate([np.array([-1], dtype=np.int64)] + parents_per_level)
-    return Tree(parent=parent, extendable=extendable,
+    return Tree(parent=parent, frontier=frontier,
                 level_offsets=np.cumsum(sizes, dtype=np.int64))._freeze()
 
 
@@ -492,8 +485,7 @@ def _build_spine(spec: TreeSpec, depth: int, cap: int) -> Tree:
     sizes = [1]
     for k in range(depth):
         sizes.append(1 + spec.leaf_count_at(k))
-    total = sum(sizes)
-    _check_cap(total, cap)
+    _check_cap(sum(sizes), cap)
     levels = []
     start = 0
     for k in range(depth):
@@ -501,9 +493,9 @@ def _build_spine(spec: TreeSpec, depth: int, cap: int) -> Tree:
         # out first in its level
         levels.append(np.full(sizes[k + 1], start, dtype=np.int64))
         start += sizes[k]
-    ext = np.zeros(total, dtype=bool)
-    ext[start] = True  # the spine vertex at the truncation depth
-    return _assemble(levels, depth, ext)
+    frontier = np.zeros(sizes[-1], dtype=bool)
+    frontier[0] = True  # the spine vertex at the truncation depth
+    return _assemble(levels, depth, frontier)
 
 
 def _gw_offspring_counts(spec: TreeSpec, key: int, ids: range) -> np.ndarray:
@@ -523,12 +515,12 @@ def _build_galton_watson(spec: TreeSpec, depth: int, cap: int,
         levels.append(np.repeat(np.arange(start, start + size, dtype=np.int64), counts))
         start += size
         size = int(counts.sum())
-    ext = np.zeros(total, dtype=bool)
-    if len(levels) == depth and size > 0:
-        # frontier vertices extend iff their (unmaterialized) offspring count is
-        # positive, keyed by vertex id like every other draw
-        ext[start:] = _gw_offspring_counts(spec, key, range(start, start + size)) > 0
-    return _assemble(levels, depth, ext)
+    # frontier vertices extend iff their (unmaterialized) offspring count is
+    # positive, keyed by vertex id like every other draw; a level that died
+    # out has no vertex to flag
+    frontier = (_gw_offspring_counts(spec, key, range(start, start + size)) > 0
+                if size else np.zeros(0, dtype=bool))
+    return _assemble(levels, depth, frontier)
 
 
 def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
@@ -569,9 +561,8 @@ def _canonicalize_explicit(spec: TreeSpec, depth: int, cap: int) -> Tree:
     marked = marked[order[:cut]]
     # children of a parent are contiguous and follow their parents' order
     parent = np.concatenate(([-1], np.repeat(np.arange(front), n_kids[:front])))
-    ext = np.zeros(cut, dtype=bool)
-    ext[front:] = marked[front:] | (n_kids[front:] > 0)
-    tree = Tree(parent=parent, extendable=ext, level_offsets=offsets)
+    tree = Tree(parent=parent, frontier=marked[front:] | (n_kids[front:] > 0),
+                level_offsets=offsets)
     stops = np.flatnonzero(marked[:front] & (n_kids[:front] == 0))
     if len(stops):
         raise ValidationError(
@@ -617,7 +608,7 @@ def truncate(tree: Tree, depth: int) -> Tree:
     """Restrict a truncation to a shallower depth (a BFS prefix of the arrays).
 
     Frontier vertices of the result are extendable iff they have children in
-    the source tree (or were already extendable there).  A `HomogeneousLevels`
+    the source tree.  A `HomogeneousLevels`
     gives the `HomogeneousLevels` of the shallower depth, with no vertex array.
     """
     if depth < 0 or depth > tree.truncation_depth:
@@ -627,11 +618,8 @@ def truncate(tree: Tree, depth: int) -> Tree:
     if isinstance(tree, HomogeneousLevels):
         return HomogeneousLevels(tree.b, depth)
     cut = int(tree.level_offsets[depth + 1])
-    ext = np.zeros(cut, dtype=bool)
-    sl = tree.level_slice(depth)
     group, m = tree.level_parents(depth + 1)
-    ext[sl] = (np.bincount(group, minlength=m) > 0) | tree.extendable[sl]
-    return Tree(parent=tree.parent[:cut], extendable=ext,
+    return Tree(parent=tree.parent[:cut], frontier=np.bincount(group, minlength=m) > 0,
                 level_offsets=tree.level_offsets[:depth + 2])._freeze()
 
 
@@ -643,17 +631,21 @@ def contract_k(tree: Tree, k: int) -> Tree:
     """The tree on depths divisible by k, with k-step segments as edges.
 
     The result's `source_vertices` maps each contracted vertex back to its
-    original id; the original path of an edge is recoverable by walking the
-    original parent array k steps.
+    original id; the original path of an edge is recoverable by climbing
+    k steps in the original tree (`Tree.climb`).  The deepest level is the
+    source's, so `frontier` is the source's, shared.  For k >= 2 the source
+    is read only through `level_slice` and `climb`: a `HomogeneousLevels`
+    builds no vertex array.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if tree.truncation_depth % k != 0:
         raise ValidationError(
             f"truncation depth {tree.truncation_depth} is not divisible by {k}")
+    # views share the memory but freeze without touching the caller's flags
+    frontier = None if tree.frontier is None else tree.frontier.view()
     if k == 1:
-        # views share the memory but freeze without touching the caller's flags
-        return Tree(parent=tree.parent.view(), extendable=tree.extendable.view(),
+        return Tree(parent=tree.parent.view(), frontier=frontier,
                     level_offsets=tree.level_offsets.view(),
                     source_vertices=np.arange(tree.n_vertices, dtype=np.int64))._freeze()
     kept = [tree.level_slice(j) for j in range(0, tree.truncation_depth + 1, k)]
@@ -663,8 +655,7 @@ def contract_k(tree: Tree, k: int) -> Tree:
         anc = tree.climb(anc)
     # a contracted id is the rank of the original id among the kept ones
     parent = np.where(anc >= 0, np.searchsorted(src, anc), -1)
-    out = Tree(parent=parent,
-               extendable=tree.extendable[src],
+    out = Tree(parent=parent, frontier=frontier,
                level_offsets=np.cumsum([0] + [sl.stop - sl.start for sl in kept],
                                        dtype=np.int64),
                source_vertices=src)

@@ -328,9 +328,10 @@ def min_cut_exact(tree, caps):
     the last id up, in exact rationals; an extendable vertex is cut at its
     own edge, dead ends carry nothing.  A cap may be math.inf."""
     parent = [int(p) for p in tree.parent]
+    extendable = tree.extendable
     below = [Fraction(0)] * len(parent)  # sum of the children's val
     for v in range(len(parent) - 1, 0, -1):
-        val = caps[v] if tree.extendable[v] else min(caps[v], below[v])
+        val = caps[v] if extendable[v] else min(caps[v], below[v])
         below[parent[v]] += val
     return below[0]
 
@@ -539,9 +540,10 @@ def survival_by_recursion(tree, q: float) -> float:
     for v in range(1, n):
         kids[int(tree.parent[v])].append(v)
     f = [0.0] * n
+    extendable = tree.extendable
     with np.errstate(divide="ignore"):
         for v in range(n - 1, -1, -1):
-            if tree.extendable[v]:
+            if extendable[v]:
                 f[v] = 1.0
                 continue
             total = 0.0

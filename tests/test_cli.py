@@ -703,6 +703,19 @@ class TestBuildOnce:
         assert main(argv + ["--tree", files["hom2"], "--depth", "12"]) == 0
         assert builds == built
 
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--contract", "2"],
+        ["percolate", "--proof", "rwre", "--dist", "a_law", "--k", "2"],
+        ["percolate", "--proof", "fpp", "--dist", "x_law", "--k", "2"],
+    ], ids=["tree-contract", "proof-rwre", "proof-fpp"])
+    def test_homogeneous_contractions_build_nothing(self, files, builds, capsys,
+                                                    no_vertex_arrays, argv):
+        # contract_k climbs the b-ary layout by arithmetic and passes its
+        # frontier through, and the proof folds climb it the same way
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv + ["--tree", files["hom2"], "--depth", "8"]) == 0
+        assert builds == [("homogeneous", 8)]
+
     def test_family_conductance_builds_once(self, files, builds, tmp_path, capsys):
         spec = tmp_path / "gw.json"
         spec.write_text(json.dumps(GW_DOC))
@@ -754,9 +767,9 @@ class TestBuildOnce:
 
 def _plain_tree(spec: TreeSpec, depth: int) -> trees.Tree:
     """The truncation as a plain `Tree`: bincount child sums, and the ground
-    read from its `extendable` flags."""
+    read from its `frontier` flags."""
     t = trees.build_truncation(spec, depth)
-    return trees.Tree(parent=t.parent, extendable=t.extendable,
+    return trees.Tree(parent=t.parent, frontier=t.extendable[t.level_slice(depth)],
                       level_offsets=t.level_offsets)
 
 

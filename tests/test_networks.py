@@ -227,9 +227,9 @@ class TestEffectiveConductance:
         env = sample_environment(levels, law, 3)
         want = effective_conductance(levels, env, ground_depth=n).hex()
         assert effective_conductance(levels, env).hex() == want
-        assert "extendable" not in vars(levels)
-        levels.extendable  # a plain tree's default ground reads the flags
-        plain = Tree(parent=levels.parent, extendable=levels.extendable,
+        assert levels.frontier is None
+        # a plain tree's default ground reads the flags
+        plain = Tree(parent=levels.parent, frontier=np.ones(b**n, dtype=bool),
                      level_offsets=levels.level_offsets)
         assert effective_conductance(plain, sample_environment(plain, law, 3)).hex() == want
 

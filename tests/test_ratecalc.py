@@ -269,6 +269,18 @@ class TestGamma:
             oracles.gamma_grid(BERNOULLI.support, BERNOULLI.weights, 0.75),
             abs=1e-7)
 
+    @pytest.mark.parametrize("a,rel", [(1e-9, 2e-2), (1e-3, 1e-6), (1.0, 1e-9)])
+    def test_near_the_mean_keeps_its_digits(self, a, rel):
+        # on U{-w, w}, gamma(a) = -(r**2/2 + r**4/12 + r**6/30 + ...) with
+        # r = a/w; at these r the value is below the 1e-16 absolute
+        # rounding of a max-shifted log-sum-exp
+        w = 1e6
+        r = a / w
+        series = -(r**2 / 2 + r**4 / 12 + r**6 / 30)
+        got = gamma(Distribution.uniform([-w, w]), a)
+        assert got < 0.0
+        assert abs(got - series) <= rel * abs(series)
+
 
 class TestExactTail:
     def test_binomial_enumeration(self):

@@ -88,7 +88,7 @@ class TestBuild:
         # the prefix of the b-ary layout is the shallower b-ary layout: the
         # same arrays as truncating a plain Tree of the deep one
         deep = build_truncation(TreeSpec.homogeneous(3), 5)
-        plain = Tree(parent=deep.parent, extendable=deep.extendable,
+        plain = Tree(parent=deep.parent, frontier=np.ones(3**5, dtype=bool),
                      level_offsets=deep.level_offsets)
 
         def unread(tree):
@@ -309,13 +309,31 @@ class TestExplicit:
 
 class TestContraction:
     def test_identity(self):
-        t = build_truncation(HOM2, 4)
-        c = contract_k(t, 1)
-        for name in ("parent", "extendable", "level_offsets"):
-            assert np.array_equal(getattr(c, name), getattr(t, name))
-        assert np.array_equal(c.source_vertices, np.arange(t.n_vertices))
-        for arr in (c.parent, c.extendable, c.level_offsets, c.source_vertices):
-            assert not arr.flags.writeable
+        for t in (build_truncation(HOM2, 4), build_truncation(SPINE, 4)):
+            c = contract_k(t, 1)
+            for name in ("parent", "extendable", "level_offsets"):
+                assert np.array_equal(getattr(c, name), getattr(t, name))
+            assert np.array_equal(c.source_vertices, np.arange(t.n_vertices))
+            assert (c.frontier is None) == (t.frontier is None)
+            for arr in (c.parent, c.frontier, c.level_offsets, c.source_vertices):
+                assert arr is c.frontier is None or not arr.flags.writeable
+
+    def test_frontier_passes_through(self):
+        # the contraction's deepest level is the source's: the same flags,
+        # frozen, in a view that leaves the source's own flags alone
+        gw = TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0, 3.0]), seed=42)
+        t = build_truncation(gw, 6)
+        writable = Tree(parent=t.parent, frontier=t.frontier.copy(),
+                        level_offsets=t.level_offsets)
+        assert not t.frontier.all()
+        for k in (2, 3, 6):
+            c = contract_k(writable, k)
+            assert c.frontier.tolist() == t.frontier.tolist()
+            assert np.shares_memory(c.frontier, writable.frontier)
+            assert not c.frontier.flags.writeable
+            assert writable.frontier.flags.writeable
+            assert c.extendable.tolist() == t.extendable[c.source_vertices].tolist()
+            assert contract_k(build_truncation(HOM2, 6), k).frontier is None
 
     def test_homogeneous_square(self):
         c = contract_k(build_truncation(HOM2, 4), 2)
@@ -380,10 +398,14 @@ class TestLevelVocabulary:
                 assert group.dtype == np.int64 and group.tolist() == want.tolist()
                 assert m == want_m
             # the arrays, built on first read, frozen
-            for name in ("level_offsets", "parent", "extendable"):
+            for name in ("level_offsets", "parent"):
                 got, want = getattr(levels, name), getattr(t, name)
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
                 assert not got.flags.writeable
+            # every frontier vertex extends: no flags are stored
+            assert levels.frontier is None and t.frontier.all()
+            assert levels.extendable.dtype == bool
+            assert levels.extendable.tolist() == t.extendable.tolist()
             validate_tree(levels)
 
     def test_child_sums_add_children_in_id_order(self, seeded_rng):
@@ -466,14 +488,19 @@ class TestHomogeneousOverrides:
 
     @pytest.fixture(params=[(b, d) for b in (1, 2, 3, 4) for d in range(9)],
                     ids=lambda bd: f"b{bd[0]}-depth{bd[1]}")
-    def pair(self, request):
+    def pair(self, request, monkeypatch):
         b, d = request.param
         arrays = HomogeneousLevels(b, d)
-        plain = Tree(parent=arrays.parent, extendable=arrays.extendable,
+        plain = Tree(parent=arrays.parent, frontier=np.ones(b**d, dtype=bool),
                      level_offsets=arrays.level_offsets)
         levels = HomogeneousLevels(b, d)
+
+        def unread(tree):
+            raise AssertionError("read the extendable flags")
+
+        monkeypatch.setattr(HomogeneousLevels, "extendable", property(unread))
         yield levels, plain
-        assert "parent" not in vars(levels) and "extendable" not in vars(levels)
+        assert "parent" not in vars(levels)
 
     def test_children_slice(self, pair):
         levels, plain = pair
@@ -594,9 +621,9 @@ class TestDepthFromOffsets:
 
 
 def _hand_built(parent=(-1, 0, 0, 1, 1, 2), offsets=(0, 1, 3, 6),
-                extendable=(0, 0, 0, 1, 1, 1)) -> Tree:
+                frontier=(1, 1, 1)) -> Tree:
     return Tree(parent=np.array(parent, dtype=np.int64),
-                extendable=np.array(extendable, dtype=bool),
+                frontier=np.array(frontier, dtype=bool),
                 level_offsets=np.array(offsets, dtype=np.int64))
 
 
@@ -610,13 +637,12 @@ class TestValidateTree:
         ({"parent": (-1, 0, 0, 1, 1, 6)}, "level above"),
         ({"parent": (-1, 0, 0, 1, 1, 4)}, "level above"),
         ({"parent": (-1, 0, 0, 2, 1, 1)}, "grouped by parent"),
-        ({"extendable": (0, 1, 0, 1, 1, 1)}, "only frontier"),
         ({"offsets": (0, 1, 3, 5)}, "end at V"),
         ({"offsets": (0, 1, 4, 3, 6)}, "nondecreasing"),
         ({"offsets": (0, 2, 3, 6)}, "alone at depth 0"),
         ({"parent": (0, 0, 0, 1, 1, 2)}, "root"),
     ], ids=["parent-not-a-level-up", "parent-minus-one", "parent-past-V",
-            "parent-in-own-level", "ungrouped", "extendable-above-frontier",
+            "parent-in-own-level", "ungrouped",
             "offsets-short-of-V", "offsets-decrease", "root-not-alone", "root-has-parent"])
     def test_rejects(self, fields, message):
         with pytest.raises(ValidationError, match=message):
@@ -633,13 +659,26 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # once read, parent (8 B) and extendable (1 B) are held, each built
-        # in place
+        # once read, parent (8 B) is held, built in place; the extendable
+        # flags (1 B) are built on each read and not kept
         assert peak / t.n_vertices < 20
         vertex_arrays = sorted(name for name, value in vars(t).items()
                                if isinstance(value, np.ndarray)
                                and len(value) == t.n_vertices)
-        assert vertex_arrays == ["extendable", "parent"]
+        assert vertex_arrays == ["parent"]
+
+    def test_built_tree_holds_parent_and_frontier(self):
+        # a family tree stores 8 B of parent per vertex and one flag per
+        # deepest-level vertex, beside one offset per level
+        gw = TreeSpec.galton_watson(Distribution.uniform([0.0, 1.0, 2.0, 3.0]), seed=7,
+                                    condition_nonextinct=True)
+        t = build_truncation(gw, 16)
+        arrays = {name: value for name, value in vars(t).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["frontier", "level_offsets", "parent"]
+        assert len(arrays["frontier"]) == t.level_sizes()[-1]
+        assert not arrays["frontier"].all()  # dead ends are stored as such
+        assert sum(a.nbytes for a in arrays.values()) / t.n_vertices < 9
 
 
 class TestCutsetHelpers:
