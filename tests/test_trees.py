@@ -316,7 +316,7 @@ class TestContraction:
             assert np.array_equal(c.source_vertices, np.arange(t.n_vertices))
             assert (c.frontier is None) == (t.frontier is None)
             for arr in (c.parent, c.frontier, c.level_offsets, c.source_vertices):
-                assert arr is c.frontier is None or not arr.flags.writeable
+                assert arr is None or not arr.flags.writeable
 
     def test_frontier_passes_through(self):
         # the contraction's deepest level is the source's: the same flags,
