@@ -13,7 +13,9 @@ and no vertex array.
 
 Conductance never forms C: it runs the ratio recursion h = A * s / (1 + s)
 from the grounded level to the root, one level at a time, on the ratios A
-alone, in doubles, or on log h where an h leaves double range.  On a
+alone, in doubles, or on log h where an h leaves double range.  A level is
+checked for underflow by its minimum h first, and its values are counted
+only when that minimum is below the smallest normal double.  On a
 homogeneous truncation (`trees.HomogeneousLevels`, the b-ary layout by
 arithmetic) it reads no vertex array: each level's sums over children
 (`child_sums`) are b strided adds instead of a scatter through parent ids,
@@ -167,7 +169,10 @@ def effective_conductance(tree: Tree, env: Environment,
     an h leaves double range (an underflow where current flows, or an
     overflow), it runs again on log h, accurate to a few ulps of |log h|, so
     0.0 means no current or a value below double range, and inf a value
-    above it.
+    above it.  A level underflowed where it has more h below the smallest
+    normal double than children sums s equal to 0; those counts are taken
+    only on a level whose minimum h is below it (or NaN), so most levels
+    cost one minimum.
     """
     if env.tree is not tree:
         raise ValidationError("environment was sampled on a different tree")
@@ -187,10 +192,12 @@ def effective_conductance(tree: Tree, env: Environment,
         for k in range(depth - 1, 0, -1):
             s = tree.child_sums(k + 1, h)
             del h  # the child level is not needed while level k is drawn
-            no_current = np.count_nonzero(s == 0.0)
             h = _ratio_step(env.level_log_a(k, True), s)
+            # s now holds s / (1 + s), zero exactly where s was (s >= 0)
+            underflow = (len(h) and not h.min() >= _TINY  # min: NaN or tiny
+                         and np.count_nonzero(h < _TINY) > np.count_nonzero(s == 0.0))
             del s
-            if np.count_nonzero(h < _TINY) > no_current:
+            if underflow:
                 break  # an h underflowed where current flows
         else:
             g = float(h.sum())

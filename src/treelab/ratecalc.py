@@ -216,9 +216,13 @@ class Distribution:
         The value for counter c is s[searchsorted(cw, uniforms(key, c),
         "right")] over the sorted support s and cumulative weights cw, bit
         for bit; it is computed in integer space by `_guide`, one chunk of
-        mantissas at a time.  `counters` is a step-1 range of ids.  `out`, a
-        C-contiguous float64 array of length len(counters), receives the
-        values instead of a new array.
+        mantissas at a time.  When every guide bucket holds one value (gap
+        0), the bucket is the top 53 - shift <= 16 bits of the hash, which
+        the hash shares with its state before the final xor-shift (see
+        `rng`): that path reads the bucket as z >> (shift + 11) from
+        `rng._prefinal_chunks` and never finishes the hash.  `counters` is a
+        step-1 range of ids.  `out`, a C-contiguous float64 array of length
+        len(counters), receives the values instead of a new array.
 
         `image`, an elementwise numpy function such as `np.log`, returns
         image(value) instead: a gather from `image_table(image)`, with the
@@ -234,6 +238,11 @@ class Distribution:
                              "of length len(counters)")
         vals = self.image_table(image)
         guide, t, shift, gap = self._guide
+        if gap == 0:
+            for sl, z, _ in rng._prefinal_chunks(key, counters):
+                np.right_shift(z, shift + 64 - rng.MANTISSA_BITS, out=z)
+                np.take(vals, z.view(np.int64), out=out[sl], mode="clip")
+            return out
         idx = np.empty(min(n, rng.CHUNK), dtype=np.intp)
         thr = np.empty_like(idx)
         for sl, m in rng.mantissa_chunks(key, counters):
@@ -243,9 +252,6 @@ class Distribution:
                         mode="clip")
                 continue
             np.right_shift(m, shift, out=ix)
-            if gap == 0:
-                np.take(vals, ix, out=dst, mode="clip")
-                continue
             np.take(guide, ix, out=ix, mode="clip")
             for _ in range(gap):
                 np.take(t, ix, out=tx, mode="clip")

@@ -14,15 +14,19 @@ homogeneous percolation chain use `generator`, a PCG64 stream per trial
 seeded from `derive`, so they too are reproducible and independent of
 worker count.
 
-`mantissa_chunks` hashes a range a fixed-size chunk at a time with in-place
+`_prefinal_chunks` hashes a range a fixed-size chunk at a time with in-place
 operations on reused scratch arrays, so no temporary grows with the number of
 draws.  The prologue (c + 1) * golden + key over a chunk is one pass: a
 read-only table of i * golden plus one constant per chunk, with wrapping
-uint64 arithmetic.  Each chunk yields the 53-bit mantissas m = hash >> 11,
-and `uniforms` returns u = m * 2**-53.  Because u = m * 2**-53 exactly, a
-comparison u >= w against a double w in [0, 1] holds exactly when m >=
-ceil(w * 2**53): inverse-CDF sampling (`Distribution.sample_values`)
-compares integers and never forms u.
+uint64 arithmetic.  It stops one step short of the hash: it yields the state
+z after the second multiply, and the hash is z ^ (z >> 31).  Since z >> 31
+is zero in its top 31 bits, the top 31 bits of the hash are z's, so a reader
+of at most that many top bits (a guide-table bucket of a gap-0 law in
+`Distribution.sample_values`, at most 16 bits) skips the final xor-shift.
+`mantissa_chunks` finishes each chunk into the 53-bit mantissas m = hash >>
+11, and `uniforms` returns u = m * 2**-53.  Because u = m * 2**-53 exactly,
+a comparison u >= w against a double w in [0, 1] holds exactly when m >=
+ceil(w * 2**53): inverse-CDF sampling compares integers and never forms u.
 """
 
 from __future__ import annotations
@@ -70,12 +74,13 @@ def _counter_count(counters) -> int:
     return len(counters)
 
 
-def mantissa_chunks(key: int, counters: range):
-    """Yield (slice, m) over CHUNK-sized pieces of `counters`, a step-1
-    range, with m = splitmix64(key + (c + 1) * golden) >> 11 as int64.
+def _prefinal_chunks(key: int, counters: range):
+    """Yield (slice, z, scratch) over CHUNK-sized pieces of `counters`, a
+    step-1 range: z is the splitmix64 state of key + (c + 1) * golden after
+    its second multiply, as uint64, so the hash is z ^ (z >> 31).
 
-    Each m is a reused scratch buffer (0 <= m < 2**53), valid only until the
-    next step.
+    z and scratch, of equal length, are reused buffers, valid only until the
+    next step; the caller may overwrite both.
     """
     n = _counter_count(counters)
     z = np.empty(min(n, CHUNK), dtype=np.uint64)
@@ -91,10 +96,21 @@ def mantissa_chunks(key: int, counters: range):
             np.right_shift(zc, s, out=tc)
             np.bitwise_xor(zc, tc, out=zc)
             np.multiply(zc, mix, out=zc)
-        np.right_shift(zc, 31, out=tc)
-        np.bitwise_xor(zc, tc, out=zc)
-        np.right_shift(zc, 64 - MANTISSA_BITS, out=zc)
-        yield slice(lo, hi), zc.view(np.int64)
+        yield slice(lo, hi), zc, tc
+
+
+def mantissa_chunks(key: int, counters: range):
+    """Yield (slice, m) over CHUNK-sized pieces of `counters`, a step-1
+    range, with m = splitmix64(key + (c + 1) * golden) >> 11 as int64.
+
+    Each m is a reused scratch buffer (0 <= m < 2**53), valid only until the
+    next step.
+    """
+    for sl, z, t in _prefinal_chunks(key, counters):
+        np.right_shift(z, 31, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.right_shift(z, 64 - MANTISSA_BITS, out=z)
+        yield sl, z.view(np.int64)
 
 
 def uniforms(key: int, counters: range) -> np.ndarray:

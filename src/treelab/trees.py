@@ -455,6 +455,8 @@ def validate_tree(tree: Tree) -> None:
     # with each parent a level up, this is the grouping within every level
     if np.any(np.diff(tree.parent[1:]) < 0):
         raise ValidationError("children of a level must be grouped by parent")
+    if tree.frontier is not None and len(tree.frontier) != v - off[-2]:
+        raise ValidationError("frontier must hold one flag per deepest-level vertex")
 
 
 def _check_cap(n: int, cap: int | None = None) -> None:

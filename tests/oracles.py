@@ -626,13 +626,20 @@ def _unxorshift(y: np.ndarray, s: int) -> np.ndarray:
     return x
 
 
+def prefinal_for_mantissas(mantissas, low_bits: int = 0) -> np.ndarray:
+    """The splitmix64 states z, before the final z ^ (z >> 31), of the hashes
+    h with h >> 11 == mantissas and low 11 bits `low_bits`."""
+    h = (np.asarray(mantissas, dtype=np.uint64) << np.uint64(11)) | np.uint64(low_bits & 0x7FF)
+    return _unxorshift(h, 31)
+
+
 def counters_for_mantissas(key: int, mantissas, low_bits: int = 0) -> np.ndarray:
     """Counters c with (splitmix_hash(key, c) >> 11) == mantissas, by running
     splitmix64 backwards (xorshifts and odd multipliers are invertible)."""
     mask = (1 << 64) - 1
-    h = (np.asarray(mantissas, dtype=np.uint64) << np.uint64(11)) | np.uint64(low_bits & 0x7FF)
     with np.errstate(over="ignore"):
-        z = _unxorshift(h, 31) * np.uint64(pow(0x94D049BB133111EB, -1, 1 << 64))
+        z = prefinal_for_mantissas(mantissas, low_bits) * np.uint64(
+            pow(0x94D049BB133111EB, -1, 1 << 64))
         z = _unxorshift(z, 27) * np.uint64(pow(0xBF58476D1CE4E5B9, -1, 1 << 64))
         z = _unxorshift(z, 30)
         c = (z - np.uint64(key & mask)) * np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))

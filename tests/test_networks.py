@@ -17,7 +17,7 @@ from treelab.networks import (Environment, capacity_flow, effective_conductance,
                               homogeneous_conductance,
                               homogeneous_constant_conductance, max_flow,
                               sample_environment, weighted_cut_inf)
-from treelab.branching import cutset_min
+from treelab.branching import cutset_min, group_logsumexp
 from treelab import networks, rng, trees
 from treelab.fpp import sample_passage_times
 
@@ -328,6 +328,42 @@ class TestRatioRecursion:
         exact = float(oracles.conductance_exact(t, np.exp(log_a), t.extendable))
         assert exact == pytest.approx(1.0, rel=1e-12)
         assert effective_conductance(t, env) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    # level 2 holds vertex 2, with the only path to the ground, and the dead
+    # end 3, whose h is 0 (s = 0: no current)
+    _DEAD_END_TREE = TreeSpec.explicit([0, 1, 1, 2, 4])
+
+    def _conductance_and_log_path(self, monkeypatch, a):
+        """effective_conductance on `_DEAD_END_TREE` with ratios a (entry 0
+        unused), the exact value, and whether the log-h rerun ran."""
+        t = build_truncation(self._DEAD_END_TREE, 4)
+        log_a = np.log(a)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return group_logsumexp(*args)
+
+        monkeypatch.setattr(networks, "group_logsumexp", spy)
+        g = effective_conductance(t, Environment(tree=t, law=UNIT, seed=0, log_a=log_a))
+        exact = float(oracles.conductance_exact(t, np.exp(log_a), t.extendable))
+        return g, exact, bool(calls)
+
+    def test_underflow_next_to_a_dead_end_reruns_on_log_h(self, monkeypatch):
+        # h_2 = 1e-100 * 1e-300 underflows to 0 on the level of the dead end's
+        # 0: the level's minimum alone cannot tell them apart, its counts can
+        g, exact, rerun = self._conductance_and_log_path(
+            monkeypatch, [1.0, 1e200, 1e-100, 7.0, 1e-100, 1e-200])
+        assert rerun
+        assert exact == pytest.approx(1e-200, rel=1e-12)
+        assert g == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_dead_end_zeros_keep_the_double_path(self, monkeypatch):
+        # the level's minimum is the dead end's 0, but nothing underflowed
+        g, exact, rerun = self._conductance_and_log_path(
+            monkeypatch, [1.0, 1.5, 3.0, 7.0, 2.0, 0.5])
+        assert not rerun
+        assert g == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_above_range_is_inf(self):
         law = Distribution.point(1.5e308)

@@ -50,6 +50,49 @@ def laws(draw):
     return _law(seed, weights)
 
 
+def _sorted_law(seed: int, weights) -> Distribution:
+    """`_law` with `weights` given in sorted-support order, so the weights
+    that sit next to each other in the guide table can be chosen."""
+    order = np.random.default_rng(seed).permutation(len(weights))
+    w = np.asarray(weights, dtype=np.float64) / math.fsum(weights)
+    return Distribution(tuple(float(v) - 7.5 for v in order),
+                        tuple(float(x) for x in w[order]))
+
+
+GUIDE_PATHS = ("gap0", "gap1", "gap2-8", "search")
+
+
+def _guide_path(law: Distribution) -> str:
+    gap = law._guide[3]
+    return "search" if gap < 0 else "gap2-8" if gap >= 2 else f"gap{gap}"
+
+
+@st.composite
+def guide_path_laws(draw, path):
+    """A law whose guide table takes `path`.  gap0: dyadic weights on a grid
+    no finer than the first table.  gap1: up to 40 atoms, none lighter than
+    one bucket of the largest table.  gap2-8 and search: such atoms with a
+    run of 2 to 6, or 20 to 100, atoms of about 1e-13 after one of them, so
+    that a bucket of the largest table holds 3 to 7, or at least 11,
+    thresholds."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if path == "gap0":
+        n = draw(st.one_of(st.integers(1, 16), st.integers(17, 2000)))
+        bits = draw(st.integers(max(n - 1, 1).bit_length(),
+                                max(4, n.bit_length() + 1)))
+        cuts = np.sort(gen.choice(np.arange(1, 2**bits), size=n - 1, replace=False))
+        weights = list(np.diff(np.concatenate(([0], cuts, [2**bits]))) / 2.0**bits)
+    else:
+        weights = list(gen.uniform(0.05, 1.0, size=draw(st.integers(2, 40))))
+        run = {"gap1": (0, 0), "gap2-8": (2, 6), "search": (20, 100)}[path]
+        at = draw(st.integers(1, len(weights)))
+        weights[at:at] = list(1e-13 * gen.uniform(1.0, 2.0,
+                                                  size=draw(st.integers(*run))))
+    law = _sorted_law(draw(st.integers(0, 2**32 - 1)), weights)
+    assert _guide_path(law) == path
+    return law
+
+
 @st.composite
 def counter_ranges(draw):
     """Id ranges of the chunk-edge lengths from a random start, up to ranges
@@ -97,6 +140,15 @@ class TestSampleValues:
     @settings(max_examples=80, deadline=None)
     @given(laws(), KEYS, counter_ranges())
     def test_matches_searchsorted_oracle(self, law, key, c):
+        assert_bits_equal(law.sample_values(key, c),
+                          oracles.sample_by_searchsorted(law, key, _ids(c)))
+
+    @pytest.mark.parametrize("path", GUIDE_PATHS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_guide_path_matches_searchsorted_oracle(self, path, data):
+        law = data.draw(guide_path_laws(path))
+        key, c = data.draw(KEYS), data.draw(counter_ranges())
         assert_bits_equal(law.sample_values(key, c),
                           oracles.sample_by_searchsorted(law, key, _ids(c)))
 
@@ -256,18 +308,20 @@ def _boundary_mantissas(law: Distribution) -> np.ndarray:
 
 @contextlib.contextmanager
 def _fed_mantissas(m: np.ndarray):
-    """Make the kernel yield the mantissas `m` for range(len(m)), CHUNK at a
-    time, as if the ids hashed onto them."""
-    m = m.astype(np.int64)
+    """Make the kernel hash range(len(m)) onto the mantissas `m`, CHUNK at a
+    time, as if the ids hashed there: its pre-final states are the oracle's
+    inverse of the final xor-shift, so the gap-0 path (which reads them) and
+    `mantissa_chunks` (which finishes them) both see `m`."""
+    z = oracles.prefinal_for_mantissas(m)
 
     def chunks(key, counters):
         assert counters == range(len(m))
         for lo in range(0, len(m), rng.CHUNK):
             hi = min(lo + rng.CHUNK, len(m))
-            yield slice(lo, hi), m[lo:hi].copy()
+            yield slice(lo, hi), z[lo:hi].copy(), np.empty(hi - lo, np.uint64)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "mantissa_chunks", chunks)
+        mp.setattr(rng, "_prefinal_chunks", chunks)
         yield range(len(m))
 
 
@@ -289,7 +343,16 @@ class TestExactBoundaries:
     def test_inverted_hash_hits_the_requested_mantissas(self, key):
         m = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
         c = oracles.counters_for_mantissas(key, m, low_bits=0x5A5)
-        assert np.array_equal(oracles.splitmix_hash(key, c) >> np.uint64(11), m)
+        h = oracles.splitmix_hash(key, c)
+        assert np.array_equal(h >> np.uint64(11), m)
+        z = oracles.prefinal_for_mantissas(m, low_bits=0x5A5)
+        assert np.array_equal(z ^ (z >> np.uint64(31)), h)
+
+    def test_fed_mantissas_reach_both_kernel_outputs(self):
+        m = _boundary_mantissas(NAMED_LAWS["X32"])
+        with _fed_mantissas(m) as ids:
+            got = np.concatenate([c.copy() for _, c in rng.mantissa_chunks(0, ids)])
+        assert np.array_equal(got, m.astype(np.int64))
 
     @pytest.mark.parametrize("weights", [
         (0.5, 0.25, 0.25),
@@ -307,6 +370,13 @@ class TestExactBoundaries:
     @given(laws(), KEYS)
     def test_random_laws_at_their_thresholds(self, law, key):
         assert_bits_equal(*_draws_at(law, key, _boundary_mantissas(law)))
+
+    @pytest.mark.parametrize("path", GUIDE_PATHS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_each_guide_path_at_its_thresholds(self, path, data):
+        law = data.draw(guide_path_laws(path))
+        assert_bits_equal(*_draws_at(law, data.draw(KEYS), _boundary_mantissas(law)))
 
     def test_wide_buckets_at_their_thresholds(self):
         weights = np.full(4096, 1e-12)

@@ -641,9 +641,11 @@ class TestValidateTree:
         ({"offsets": (0, 1, 4, 3, 6)}, "nondecreasing"),
         ({"offsets": (0, 2, 3, 6)}, "alone at depth 0"),
         ({"parent": (0, 0, 0, 1, 1, 2)}, "root"),
+        ({"frontier": (1, 1)}, "one flag per deepest-level vertex"),
     ], ids=["parent-not-a-level-up", "parent-minus-one", "parent-past-V",
             "parent-in-own-level", "ungrouped",
-            "offsets-short-of-V", "offsets-decrease", "root-not-alone", "root-has-parent"])
+            "offsets-short-of-V", "offsets-decrease", "root-not-alone", "root-has-parent",
+            "frontier-wrong-length"])
     def test_rejects(self, fields, message):
         with pytest.raises(ValidationError, match=message):
             validate_tree(_hand_built(**fields))
