@@ -193,8 +193,10 @@ def effective_conductance(tree: Tree, env: Environment,
             s = tree.child_sums(k + 1, h)
             del h  # the child level is not needed while level k is drawn
             h = _ratio_step(env.level_log_a(k, True), s)
-            # s now holds s / (1 + s), zero exactly where s was (s >= 0)
-            underflow = (len(h) and not h.min() >= _TINY  # min: NaN or tiny
+            # s now holds s / (1 + s), zero exactly where s was (s >= 0).  A
+            # level whose minimum h is at least tiny (so not NaN) cannot have
+            # underflowed; an empty one (an extinct tree) has no minimum
+            underflow = (len(h) and not h.min() >= _TINY
                          and np.count_nonzero(h < _TINY) > np.count_nonzero(s == 0.0))
             del s
             if underflow:
